@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 
+	"graphmem/internal/assoc"
 	"graphmem/internal/check"
 )
 
@@ -92,94 +93,24 @@ func (s Stats) LLCMissRate() float64 {
 	return float64(s.LLCMiss) / float64(s.Accesses)
 }
 
-type level struct {
-	setsMask uint64
-	ways     int
-	tags     []uint64
-	stamp    []uint32
-	clock    uint32
-	last     int // way index touched by the most recent access (hit or fill)
-}
-
-func newLevel(c LevelConfig) *level {
-	lines := c.Bytes >> LineShift
-	if lines%c.Ways != 0 {
-		panic(check.Failf("cache: %d lines not divisible by %d ways", lines, c.Ways))
-	}
-	sets := lines / c.Ways
-	if sets&(sets-1) != 0 {
-		panic(check.Failf("cache: set count %d not a power of two", sets))
-	}
-	return &level{
-		setsMask: uint64(sets - 1),
-		ways:     c.Ways,
-		tags:     make([]uint64, lines),
-		stamp:    make([]uint32, lines),
-	}
-}
-
-func (l *level) access(line uint64) bool {
-	tag := line + 1
-	base := int(line&l.setsMask) * l.ways
-	// Branchless hit scan: irregular (gather-shaped) streams hit a
-	// different way on nearly every probe, so an early-exit loop pays a
-	// branch mispredict per probe — the conditional select below
-	// compiles to a CMOV and keeps the hit path flat. The victim scan
-	// runs only on a miss, with the original selection logic (first
-	// empty way, else lowest stamp, earliest index breaking ties).
-	hit := -1
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.tags[i] == tag {
-			hit = i
-		}
-	}
-	if hit >= 0 {
-		l.clock++
-		l.stamp[hit] = l.clock
-		l.last = hit
-		return true
-	}
-	victim, oldest := base, uint32(0xFFFFFFFF)
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.tags[i] == 0 {
-			if oldest != 0 {
-				victim, oldest = i, 0
-			}
-			continue
-		}
-		if l.stamp[i] < oldest {
-			victim, oldest = i, l.stamp[i]
-		}
-	}
-	l.clock++
-	l.tags[victim] = tag
-	l.stamp[victim] = l.clock
-	l.last = victim
-	return false
-}
-
-func (l *level) reset() {
-	for i := range l.tags {
-		l.tags[i] = 0
-		l.stamp[i] = 0
-	}
-	l.clock = 0
-	l.last = 0
-}
-
 // Hierarchy is a live two-level data cache.
 type Hierarchy struct {
 	cfg   Config
-	l1    *level
-	llc   *level
+	l1    *assoc.Sets
+	llc   *assoc.Sets
 	stats Stats
 }
 
+// lines returns a level's capacity in lines.
+func (c LevelConfig) lines() int { return c.Bytes >> LineShift }
+
 // New builds a hierarchy.
 func New(cfg Config) *Hierarchy {
-	return &Hierarchy{cfg: cfg, l1: newLevel(cfg.L1D), llc: newLevel(cfg.LLC)}
+	return &Hierarchy{
+		cfg: cfg,
+		l1:  assoc.New(cfg.L1D.lines(), cfg.L1D.Ways),
+		llc: assoc.New(cfg.LLC.lines(), cfg.LLC.Ways),
+	}
 }
 
 // Config returns the configuration.
@@ -193,8 +124,8 @@ func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Reset clears contents and counters.
 func (h *Hierarchy) Reset() {
-	h.l1.reset()
-	h.llc.reset()
+	h.l1.Reset()
+	h.llc.Reset()
 	h.stats = Stats{}
 }
 
@@ -208,27 +139,20 @@ const (
 )
 
 // AccessRepeatL1 charges n data accesses to physical address pa that are
-// known to hit the L1: pa's line is the line the immediately preceding
-// Access touched (hit or fill — either way the access left it
-// most-recently-used in its set, and its way memoized in last), and no
-// other hierarchy call has intervened. Counters and L1 LRU state advance
-// exactly as n Access calls returning HitL1 would; the LLC is untouched,
-// as it is on any L1 hit. The contract is verified under -tags simcheck,
-// where a violation — a bulk caller charging a line its preceding probe
-// did not touch — panics; normal builds trust the caller so the body
-// stays under the inlining budget (a Failf call alone exceeds it), and
-// the engines' differential suites enforce the same guarantee end to
-// end.
+// known to hit the L1: pa's line is its L1 set's most-recently-used line,
+// as it is right after an Access to it (hit or fill) with no other
+// hierarchy call in between. n hits on an MRU line leave every set's
+// recency order unchanged, so only the counters advance, exactly as n
+// Access calls returning HitL1 would; the LLC is untouched, as it is on
+// any L1 hit. The contract is verified under -tags simcheck, where a
+// violation panics; normal builds trust the caller so the body stays
+// under the inlining budget, and the engines' differential suites
+// enforce the same guarantee end to end.
 func (h *Hierarchy) AccessRepeatL1(pa, n uint64) {
 	h.stats.Accesses += n
-	l := h.l1
-	w := l.last
-	if check.Enabled && l.tags[w] != pa>>LineShift+1 {
-		panic(check.Failf("cache: bulk repeat hit on line %#x, but the preceding access touched line %#x",
-			pa>>LineShift, l.tags[w]-1))
+	if check.Enabled && !h.l1.IsMRU(pa>>LineShift) {
+		panic(check.Failf("cache: bulk repeat hit on line %#x, which is not its L1 set's MRU", pa>>LineShift))
 	}
-	l.clock += uint32(n)
-	l.stamp[w] = l.clock
 }
 
 // Access simulates a data access to physical address pa and reports
@@ -236,11 +160,11 @@ func (h *Hierarchy) AccessRepeatL1(pa, n uint64) {
 func (h *Hierarchy) Access(pa uint64) AccessLevel {
 	h.stats.Accesses++
 	line := pa >> LineShift
-	if h.l1.access(line) {
+	if h.l1.Access(line) {
 		return HitL1
 	}
 	h.stats.L1Misses++
-	if h.llc.access(line) {
+	if h.llc.Access(line) {
 		return HitLLC
 	}
 	h.stats.LLCMiss++
@@ -248,15 +172,20 @@ func (h *Hierarchy) Access(pa uint64) AccessLevel {
 }
 
 // FootprintBytes reports the simulator-side bytes backing the cache
-// hierarchy's tag and LRU arrays, for the stats.Footprint report. The
-// representation predates the frame-metadata compaction and is
-// unchanged by it.
+// hierarchy's tag arrays, for the stats.Footprint report.
 func (h *Hierarchy) FootprintBytes() uint64 {
-	var b uint64
-	for _, l := range []*level{h.l1, h.llc} {
-		if l != nil {
-			b += uint64(len(l.tags))*8 + uint64(len(l.stamp))*4
-		}
+	return h.l1.FootprintBytes() + h.llc.FootprintBytes()
+}
+
+// CheckInvariants validates both levels' tag arrays (assoc.Sets
+// CheckInvariants) and returns the first violation. The simcheck
+// runtime sanitizer (check.Audit) calls it at policy boundaries.
+func (h *Hierarchy) CheckInvariants() error {
+	if err := h.l1.CheckInvariants(); err != nil {
+		return fmt.Errorf("l1: %v", err)
 	}
-	return b
+	if err := h.llc.CheckInvariants(); err != nil {
+		return fmt.Errorf("llc: %v", err)
+	}
+	return nil
 }

@@ -1,28 +1,14 @@
 package cache
 
 // Clone returns an independent deep copy of the hierarchy: same
-// configuration, same resident lines, same LRU clocks and stamps (the
-// level's memoized last-touched way included, which AccessRepeatL1's
-// bulk contract depends on), same counters. A forked machine replays
-// data-cache behaviour bit-exactly from the clone point.
+// configuration, same resident lines in the same recency order, same
+// counters. A forked machine replays data-cache behaviour bit-exactly
+// from the clone point.
 func (h *Hierarchy) Clone() *Hierarchy {
 	return &Hierarchy{
 		cfg:   h.cfg,
-		l1:    h.l1.clone(),
-		llc:   h.llc.clone(),
+		l1:    h.l1.Clone(),
+		llc:   h.llc.Clone(),
 		stats: h.stats,
-	}
-}
-
-// clone deep-copies one cache level, tag array and replacement state
-// included.
-func (l *level) clone() *level {
-	return &level{
-		setsMask: l.setsMask,
-		ways:     l.ways,
-		tags:     append([]uint64(nil), l.tags...),
-		stamp:    append([]uint32(nil), l.stamp...),
-		clock:    l.clock,
-		last:     l.last,
 	}
 }

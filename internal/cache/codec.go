@@ -1,13 +1,16 @@
 package cache
 
-import "graphmem/internal/ckpt"
+import (
+	"graphmem/internal/assoc"
+	"graphmem/internal/ckpt"
+)
 
-// Checkpoint codec (DESIGN.md §5e). Tags, LRU stamps, the clock, and
-// each level's memoized last-touched way are serialized verbatim —
-// AccessRepeatL1's bulk fast path reads last directly, so a loaded
-// cache must resume mid-stream exactly where the staged one stopped.
-// Decode validates geometry against the decoded Config with newLevel's
-// rules, failing the Decoder instead of panicking on hostile images.
+// Checkpoint codec (DESIGN.md §5e). Each level's tag array is
+// serialized in recency order, which is its whole LRU state, so a loaded
+// cache resumes mid-stream exactly where the staged one stopped (an MRU
+// line stays MRU for AccessRepeatL1). assoc.Sets.Decode validates each
+// array against the decoded Config, failing the Decoder instead of
+// panicking on hostile images.
 
 func (c *LevelConfig) encode(e *ckpt.Encoder) {
 	e.Int(c.Bytes)
@@ -46,58 +49,11 @@ func (s *Stats) Decode(d *ckpt.Decoder) {
 	s.LLCMiss = d.U64()
 }
 
-func (l *level) encode(e *ckpt.Encoder) {
-	e.U64(l.setsMask)
-	e.Int(l.ways)
-	ckpt.EncodeSlice(e, l.tags)
-	ckpt.EncodeSlice(e, l.stamp)
-	e.U32(l.clock)
-	e.Int(l.last)
-}
-
-func (l *level) decode(d *ckpt.Decoder) {
-	l.setsMask = d.U64()
-	l.ways = d.Int()
-	l.tags = ckpt.DecodeSlice[uint64](d)
-	l.stamp = ckpt.DecodeSlice[uint32](d)
-	l.clock = d.U32()
-	l.last = d.Int()
-}
-
-// checkGeometry fails the decoder unless l has exactly the shape
-// newLevel(c) would build, plus a resident line count (degenerate
-// zero-line levels never exist in a staged machine) and an in-bounds
-// last index (AccessRepeatL1 dereferences it unchecked).
-func (l *level) checkGeometry(d *ckpt.Decoder, c LevelConfig, name string) {
-	if d.Err() != nil {
-		return
-	}
-	lines := c.Bytes >> LineShift
-	if c.Ways <= 0 || lines%c.Ways != 0 {
-		d.Failf("cache: %s: %d lines not divisible by %d ways", name, lines, c.Ways)
-		return
-	}
-	sets := lines / c.Ways
-	if sets == 0 || sets&(sets-1) != 0 {
-		d.Failf("cache: %s: set count %d not a positive power of two", name, sets)
-		return
-	}
-	if l.ways != c.Ways || l.setsMask != uint64(sets-1) ||
-		len(l.tags) != lines || len(l.stamp) != lines {
-		d.Failf("cache: %s: array shape does not match config (%d bytes, %d ways)",
-			name, c.Bytes, c.Ways)
-		return
-	}
-	if l.last < 0 || l.last >= len(l.tags) {
-		d.Failf("cache: %s: last-way index %d out of range [0,%d)", name, l.last, len(l.tags))
-	}
-}
-
 // Encode serializes the hierarchy: config, both levels, counters.
 func (h *Hierarchy) Encode(e *ckpt.Encoder) {
 	h.cfg.encode(e)
-	h.l1.encode(e)
-	h.llc.encode(e)
+	h.l1.Encode(e)
+	h.llc.Encode(e)
 	h.stats.Encode(e)
 }
 
@@ -105,11 +61,9 @@ func (h *Hierarchy) Encode(e *ckpt.Encoder) {
 // error the receiver must be discarded.
 func (h *Hierarchy) Decode(d *ckpt.Decoder) {
 	h.cfg.decode(d)
-	h.l1 = new(level)
-	h.l1.decode(d)
-	h.llc = new(level)
-	h.llc.decode(d)
+	h.l1 = new(assoc.Sets)
+	h.l1.Decode(d, h.cfg.L1D.lines(), h.cfg.L1D.Ways, "cache: l1")
+	h.llc = new(assoc.Sets)
+	h.llc.Decode(d, h.cfg.LLC.lines(), h.cfg.LLC.Ways, "cache: llc")
 	h.stats.Decode(d)
-	h.l1.checkGeometry(d, h.cfg.L1D, "l1")
-	h.llc.checkGeometry(d, h.cfg.LLC, "llc")
 }

@@ -128,8 +128,8 @@ func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) 
 	if m.Model != *p.spec.Cost {
 		return nil, fmt.Errorf("core: checkpoint %s was saved under a different cost model", key)
 	}
-	if got := m.Mem.TotalPages() * memsys.PageSize; got != p.memBytes {
-		return nil, fmt.Errorf("core: checkpoint %s holds a %d-byte node, spec stages %d bytes", key, got, p.memBytes)
+	if got, want := m.Mem.TotalPages()*memsys.PageSize, memsys.NodeBytes(p.memBytes); got != want {
+		return nil, fmt.Errorf("core: checkpoint %s holds a %d-byte node, spec stages %d bytes", key, got, want)
 	}
 	if m.Space.SimPageTables != p.spec.SimulatePageTables {
 		return nil, fmt.Errorf("core: checkpoint %s disagrees with the spec on page-table simulation", key)

@@ -9,6 +9,7 @@ import (
 	"graphmem/internal/analytics"
 	"graphmem/internal/ckpt"
 	"graphmem/internal/core"
+	"graphmem/internal/memsys"
 )
 
 // persistSpec is the persistence tests' configuration: the stressed
@@ -70,6 +71,43 @@ func TestSaveLoadForkMatchesFresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSaveLoadDefaultNodeMatchesFresh is the default-node-size
+// regression test: stage sizes a node at 4×WSS, memsys.New rounds that
+// down to whole max-order blocks, and LoadCheckpoint must compare the
+// decoded node against the same rounding, or every checkpoint whose
+// 4×WSS is not block-aligned is rejected and restaged.
+func TestSaveLoadDefaultNodeMatchesFresh(t *testing.T) {
+	spec := quickSpec(t, analytics.BFS, core.THPAlways(), core.FreshBoot())
+	spec.Graph = widePropGraph(t)
+	if wss := analytics.WSSBytes(spec.App, spec.Graph); 4*wss <= 64<<20 || memsys.NodeBytes(4*wss) == 4*wss {
+		t.Fatalf("4×WSS = %d bytes: the test needs a default node above the 64 MB floor and not block-aligned", 4*wss)
+	}
+	ref, err := core.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cp.Save(&buf, "persist:default-node"); err != nil {
+		t.Fatal(err)
+	}
+	lcp, err := core.LoadCheckpoint(spec, "persist:default-node", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lcp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("loaded default-node run diverged from the fresh run:\n--- fresh ---\n%s--- loaded ---\n%s",
+			formatResult(ref), formatResult(got))
 	}
 }
 

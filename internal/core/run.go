@@ -463,6 +463,7 @@ func auditMachine(m *machine.Machine) {
 	check.Audit("memsys", m.Mem.CheckInvariants)
 	check.Audit("vm", m.Space.CheckInvariants)
 	check.Audit("tlb", m.TLB.CheckInvariants)
+	check.Audit("cache", m.Cache.CheckInvariants)
 }
 
 // applyAdvice issues the policy's madvise calls on the freshly-mapped

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,16 +12,17 @@ import (
 	"testing"
 	"time"
 
+	"graphmem/internal/ckpt"
 	"graphmem/internal/core"
 	"graphmem/internal/gen"
 )
 
 // renderWithStore runs the given experiments on a fresh suite, with the
-// persistent store at dir (empty disables), and returns every rendered
-// byte surface.
-func renderWithStore(t *testing.T, dir string, ids []string, workers int) (text, markdown, csv string) {
+// persistent store at dir (empty disables) and the suite's progress log
+// on log (nil discards it), and returns every rendered byte surface.
+func renderWithStore(t *testing.T, dir string, ids []string, workers int, log io.Writer) (text, markdown, csv string) {
 	t.Helper()
-	s := NewSuite(gen.ScaleTest, nil)
+	s := NewSuite(gen.ScaleTest, log)
 	s.PRMaxIters = 2
 	s.CkptDir = dir
 	var out strings.Builder
@@ -53,8 +57,8 @@ func TestCheckpointStoreReloadMatchesFresh(t *testing.T) {
 	dir := t.TempDir()
 	ids := []string{"fig5"}
 
-	freshText, freshMD, freshCSV := renderWithStore(t, "", ids, 1)
-	popText, popMD, popCSV := renderWithStore(t, dir, ids, 1)
+	freshText, freshMD, freshCSV := renderWithStore(t, "", ids, 1, nil)
+	popText, popMD, popCSV := renderWithStore(t, dir, ids, 1, nil)
 	saved, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +66,8 @@ func TestCheckpointStoreReloadMatchesFresh(t *testing.T) {
 	if len(saved) == 0 {
 		t.Fatal("populating campaign saved no checkpoint containers")
 	}
-	reloadText, reloadMD, reloadCSV := renderWithStore(t, dir, ids, 1)
-	reload4Text, reload4MD, reload4CSV := renderWithStore(t, dir, ids, 4)
+	reloadText, reloadMD, reloadCSV := renderWithStore(t, dir, ids, 1, nil)
+	reload4Text, reload4MD, reload4CSV := renderWithStore(t, dir, ids, 4, nil)
 	after, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +108,8 @@ func TestCheckpointStoreSurvivesCorruption(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ids := []string{"fig4"}
-	freshText, _, _ := renderWithStore(t, "", ids, 1)
-	renderWithStore(t, dir, ids, 1)
+	freshText, _, _ := renderWithStore(t, "", ids, 1, nil)
+	renderWithStore(t, dir, ids, 1, nil)
 	saved, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(saved) == 0 {
 		t.Fatalf("populate left no containers (err %v)", err)
@@ -119,9 +123,63 @@ func TestCheckpointStoreSurvivesCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text, _, _ := renderWithStore(t, dir, ids, 1)
+	text, _, _ := renderWithStore(t, dir, ids, 1, nil)
 	if text != freshText {
 		t.Error("campaign over a corrupted store rendered different bytes than the store-less campaign")
+	}
+}
+
+// TestCheckpointStoreRejectsStaleVersion proves a format bump
+// invalidates the store: containers whose header carries the previous
+// ckpt.Version are each rejected with the version error, their cells
+// restage and render the store-less bytes, and the restaging overwrites
+// them with current-version containers.
+func TestCheckpointStoreRejectsStaleVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one experiment three times")
+	}
+	if core.SnapshotsDisabled() {
+		t.Skip("GRAPHMEM_NO_SNAPSHOT disables the store")
+	}
+	dir := t.TempDir()
+	ids := []string{"fig4"}
+	freshText, freshMD, freshCSV := renderWithStore(t, "", ids, 1, nil)
+	renderWithStore(t, dir, ids, 1, nil)
+	saved, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(saved) == 0 {
+		t.Fatalf("populate left no containers (err %v)", err)
+	}
+	// The version is the u32 after the 8-byte magic (ckpt package doc).
+	setVersion := func(path string, v uint32) {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(img[8:12], v)
+		if err := os.WriteFile(path, img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range saved {
+		setVersion(path, ckpt.Version-1)
+	}
+	var log strings.Builder
+	text, md, csv := renderWithStore(t, dir, ids, 1, &log)
+	if text != freshText || md != freshMD || csv != freshCSV {
+		t.Error("campaign over a stale-version store rendered different bytes than the store-less campaign")
+	}
+	versionErr := fmt.Sprintf("ckpt: format version %d, want %d", ckpt.Version-1, ckpt.Version)
+	if n := strings.Count(log.String(), versionErr); n != len(saved) {
+		t.Errorf("%d of %d stale containers were rejected with %q; log:\n%s", n, len(saved), versionErr, log.String())
+	}
+	for _, path := range saved {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(img[8:12]); v != ckpt.Version {
+			t.Errorf("%s still holds version %d after restaging", filepath.Base(path), v)
+		}
 	}
 }
 

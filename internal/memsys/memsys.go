@@ -338,12 +338,17 @@ func (m *Memory) enqueueReclaim(f Frame, mt MigrateType, owner Owner) {
 	}
 }
 
-// New constructs a node with totalBytes of physical memory. totalBytes is
-// rounded down to a whole number of max-order blocks so the buddy
-// structure starts fully coalesced.
-func New(totalBytes uint64) *Memory {
+// NodeBytes returns the physical memory New(totalBytes) manages:
+// totalBytes rounded down to a whole number of max-order blocks, so the
+// buddy structure starts fully coalesced.
+func NodeBytes(totalBytes uint64) uint64 {
 	blockBytes := uint64(PageSize) << MaxOrder
-	totalBytes -= totalBytes % blockBytes
+	return totalBytes - totalBytes%blockBytes
+}
+
+// New constructs a node with NodeBytes(totalBytes) of physical memory.
+func New(totalBytes uint64) *Memory {
+	totalBytes = NodeBytes(totalBytes)
 	if totalBytes == 0 {
 		panic(check.Failf("memsys: memory smaller than one max-order block"))
 	}

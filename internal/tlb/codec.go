@@ -1,14 +1,17 @@
 package tlb
 
-import "graphmem/internal/ckpt"
+import (
+	"graphmem/internal/assoc"
+	"graphmem/internal/ckpt"
+)
 
-// Checkpoint codec (DESIGN.md §5e). The tag, stamp, and clock state of
-// every set-associative array is serialized verbatim: replacement
-// decisions depend on exact LRU stamps, so anything less would break
-// the loaded-equals-staged determinism contract (MODEL.md §7). Decode
-// validates each array's geometry against the decoded Config with the
-// same rules New enforces — but by failing the Decoder instead of
-// panicking, since the image may be hostile.
+// Checkpoint codec (DESIGN.md §5e). Every set-associative array's tags
+// are serialized in recency order: replacement decisions depend on that
+// exact order, so anything less would break the loaded-equals-staged
+// determinism contract (MODEL.md §7). assoc.Sets.Decode validates each
+// array against the decoded Config with the same rules New enforces —
+// but by failing the Decoder instead of panicking, since the image may
+// be hostile.
 
 func (c *SetConfig) encode(e *ckpt.Encoder) {
 	e.Int(c.Entries)
@@ -43,50 +46,6 @@ func (c *Config) decode(d *ckpt.Decoder) {
 	c.PWCPML4E.decode(d)
 }
 
-func (s *setAssoc) encode(e *ckpt.Encoder) {
-	e.U64(s.setsMask)
-	e.Int(s.ways)
-	ckpt.EncodeSlice(e, s.tags)
-	ckpt.EncodeSlice(e, s.stamp)
-	e.U32(s.clock)
-}
-
-func (s *setAssoc) decode(d *ckpt.Decoder) {
-	s.setsMask = d.U64()
-	s.ways = d.Int()
-	s.tags = ckpt.DecodeSlice[uint64](d)
-	s.stamp = ckpt.DecodeSlice[uint32](d)
-	s.clock = d.U32()
-}
-
-// checkGeometry fails the decoder unless s has exactly the shape
-// newSetAssoc(c) would build.
-func (s *setAssoc) checkGeometry(d *ckpt.Decoder, c SetConfig, name string) {
-	if d.Err() != nil {
-		return
-	}
-	if c.Entries == 0 {
-		if s.setsMask != 0 || s.ways != 0 || len(s.tags) != 0 || len(s.stamp) != 0 {
-			d.Failf("tlb: %s: zero-entry config with non-empty array", name)
-		}
-		return
-	}
-	if c.Ways <= 0 || c.Entries%c.Ways != 0 {
-		d.Failf("tlb: %s: %d entries not divisible by %d ways", name, c.Entries, c.Ways)
-		return
-	}
-	sets := c.Entries / c.Ways
-	if sets&(sets-1) != 0 {
-		d.Failf("tlb: %s: set count %d not a power of two", name, sets)
-		return
-	}
-	if s.ways != c.Ways || s.setsMask != uint64(sets-1) ||
-		len(s.tags) != sets*c.Ways || len(s.stamp) != len(s.tags) {
-		d.Failf("tlb: %s: array shape does not match config (%d entries, %d ways)",
-			name, c.Entries, c.Ways)
-	}
-}
-
 func (s *Stats) Encode(e *ckpt.Encoder) {
 	e.U64(s.Lookups)
 	e.U64(s.L1Misses)
@@ -105,12 +64,9 @@ func (s *Stats) Decode(d *ckpt.Decoder) {
 // arrays, and the counters.
 func (h *Hierarchy) Encode(e *ckpt.Encoder) {
 	h.cfg.encode(e)
-	h.l14k.encode(e)
-	h.l12m.encode(e)
-	h.stlb.encode(e)
-	h.pwcPDE.encode(e)
-	h.pwcPDPTE.encode(e)
-	h.pwcPML4E.encode(e)
+	for _, s := range h.arrays() {
+		s.Encode(e)
+	}
 	h.stats.Encode(e)
 }
 
@@ -118,23 +74,16 @@ func (h *Hierarchy) Encode(e *ckpt.Encoder) {
 // error the receiver must be discarded.
 func (h *Hierarchy) Decode(d *ckpt.Decoder) {
 	h.cfg.decode(d)
-	h.l14k = new(setAssoc)
-	h.l14k.decode(d)
-	h.l12m = new(setAssoc)
-	h.l12m.decode(d)
-	h.stlb = new(setAssoc)
-	h.stlb.decode(d)
-	h.pwcPDE = new(setAssoc)
-	h.pwcPDE.decode(d)
-	h.pwcPDPTE = new(setAssoc)
-	h.pwcPDPTE.decode(d)
-	h.pwcPML4E = new(setAssoc)
-	h.pwcPML4E.decode(d)
+	decode := func(c SetConfig, name string) *assoc.Sets {
+		s := new(assoc.Sets)
+		s.Decode(d, c.Entries, c.Ways, "tlb: "+name)
+		return s
+	}
+	h.l14k = decode(h.cfg.L1D4K, "l14k")
+	h.l12m = decode(h.cfg.L1D2M, "l12m")
+	h.stlb = decode(h.cfg.STLB, "stlb")
+	h.pwcPDE = decode(h.cfg.PWCPDE, "pwcPDE")
+	h.pwcPDPTE = decode(h.cfg.PWCPDPTE, "pwcPDPTE")
+	h.pwcPML4E = decode(h.cfg.PWCPML4E, "pwcPML4E")
 	h.stats.Decode(d)
-	h.l14k.checkGeometry(d, h.cfg.L1D4K, "l14k")
-	h.l12m.checkGeometry(d, h.cfg.L1D2M, "l12m")
-	h.stlb.checkGeometry(d, h.cfg.STLB, "stlb")
-	h.pwcPDE.checkGeometry(d, h.cfg.PWCPDE, "pwcPDE")
-	h.pwcPDPTE.checkGeometry(d, h.cfg.PWCPDPTE, "pwcPDPTE")
-	h.pwcPML4E.checkGeometry(d, h.cfg.PWCPML4E, "pwcPML4E")
 }

@@ -4,13 +4,14 @@
 // and 2MB translations, and the page-walk caches (PML4E/PDPTE/PDE) that
 // shorten radix walks on STLB misses.
 //
-// All structures are set-associative with true-LRU replacement inside
-// each set, and all state updates are deterministic.
+// All structures are set-associative with exact LRU replacement inside
+// each set (internal/assoc), and all state updates are deterministic.
 package tlb
 
 import (
 	"fmt"
 
+	"graphmem/internal/assoc"
 	"graphmem/internal/check"
 	"graphmem/internal/vm"
 )
@@ -21,15 +22,8 @@ type SetConfig struct {
 	Ways    int
 }
 
-func (c SetConfig) sets() int {
-	if c.Entries == 0 {
-		return 0
-	}
-	if c.Ways <= 0 || c.Entries%c.Ways != 0 {
-		panic(check.Failf("tlb: %d entries not divisible by %d ways", c.Entries, c.Ways))
-	}
-	return c.Entries / c.Ways
-}
+// build returns the empty structure c describes.
+func (c SetConfig) build() *assoc.Sets { return assoc.New(c.Entries, c.Ways) }
 
 // Config describes a full translation-caching hierarchy.
 type Config struct {
@@ -100,123 +94,6 @@ func Scaled(c Config, div int) Config {
 	}
 }
 
-// setAssoc is a generic set-associative tag array with per-set LRU.
-type setAssoc struct {
-	setsMask uint64
-	ways     int
-	tags     []uint64 // sets × ways; 0 means invalid (tags are shifted +1)
-	stamp    []uint32 // LRU stamps parallel to tags
-	clock    uint32
-}
-
-func newSetAssoc(c SetConfig) *setAssoc {
-	sets := c.sets()
-	if sets == 0 {
-		return &setAssoc{}
-	}
-	if sets&(sets-1) != 0 {
-		panic(check.Failf("tlb: set count %d not a power of two", sets))
-	}
-	return &setAssoc{
-		setsMask: uint64(sets - 1),
-		ways:     c.Ways,
-		tags:     make([]uint64, sets*c.Ways),
-		stamp:    make([]uint32, sets*c.Ways),
-	}
-}
-
-// lookup probes for key; on hit it refreshes LRU and returns true.
-func (s *setAssoc) lookup(key uint64) bool {
-	if s.ways == 0 {
-		return false
-	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if s.tags[base+w] == tag {
-			s.clock++
-			s.stamp[base+w] = s.clock
-			return true
-		}
-	}
-	return false
-}
-
-// repeatHit refreshes key's LRU state as n consecutive hitting lookups
-// would: each hit advances the set's clock by one and leaves the entry's
-// stamp at the new clock, so n hits in a row net to clock += n with the
-// stamp landing on the final value and no other way touched. Returns
-// false when the entry is absent (the caller's residency guarantee was
-// broken).
-func (s *setAssoc) repeatHit(key, n uint64) bool {
-	if s.ways == 0 {
-		return false
-	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if s.tags[base+w] == tag {
-			s.clock += uint32(n)
-			s.stamp[base+w] = s.clock
-			return true
-		}
-	}
-	return false
-}
-
-// insert fills key, evicting the LRU way of its set if necessary.
-func (s *setAssoc) insert(key uint64) {
-	if s.ways == 0 {
-		return
-	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	victim, oldest := base, s.stamp[base]
-	for w := 0; w < s.ways; w++ {
-		i := base + w
-		if s.tags[i] == tag {
-			s.clock++
-			s.stamp[i] = s.clock
-			return
-		}
-		if s.tags[i] == 0 {
-			victim, oldest = i, 0
-			// Prefer an invalid way but keep scanning for a tag match.
-			continue
-		}
-		if s.stamp[i] < oldest {
-			victim, oldest = i, s.stamp[i]
-		}
-	}
-	s.clock++
-	s.tags[victim] = tag
-	s.stamp[victim] = s.clock
-}
-
-// invalidate removes key if present.
-func (s *setAssoc) invalidate(key uint64) {
-	if s.ways == 0 {
-		return
-	}
-	tag := key + 1
-	base := int(key&s.setsMask) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if s.tags[base+w] == tag {
-			s.tags[base+w] = 0
-			s.stamp[base+w] = 0
-		}
-	}
-}
-
-// reset clears all entries.
-func (s *setAssoc) reset() {
-	for i := range s.tags {
-		s.tags[i] = 0
-		s.stamp[i] = 0
-	}
-	s.clock = 0
-}
-
 // Stats holds the hierarchy's counters. DTLB terminology follows the
 // paper: a "DTLB miss" is a first-level miss; those either hit the STLB
 // or walk.
@@ -259,13 +136,13 @@ func (s Stats) STLBMissRate() float64 {
 type Hierarchy struct {
 	cfg Config
 
-	l14k *setAssoc
-	l12m *setAssoc
-	stlb *setAssoc
+	l14k *assoc.Sets
+	l12m *assoc.Sets
+	stlb *assoc.Sets
 
-	pwcPDE   *setAssoc
-	pwcPDPTE *setAssoc
-	pwcPML4E *setAssoc
+	pwcPDE   *assoc.Sets
+	pwcPDPTE *assoc.Sets
+	pwcPML4E *assoc.Sets
 
 	stats Stats
 }
@@ -274,12 +151,12 @@ type Hierarchy struct {
 func New(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg:      cfg,
-		l14k:     newSetAssoc(cfg.L1D4K),
-		l12m:     newSetAssoc(cfg.L1D2M),
-		stlb:     newSetAssoc(cfg.STLB),
-		pwcPDE:   newSetAssoc(cfg.PWCPDE),
-		pwcPDPTE: newSetAssoc(cfg.PWCPDPTE),
-		pwcPML4E: newSetAssoc(cfg.PWCPML4E),
+		l14k:     cfg.L1D4K.build(),
+		l12m:     cfg.L1D2M.build(),
+		stlb:     cfg.STLB.build(),
+		pwcPDE:   cfg.PWCPDE.build(),
+		pwcPDPTE: cfg.PWCPDPTE.build(),
+		pwcPML4E: cfg.PWCPML4E.build(),
 	}
 }
 
@@ -295,12 +172,9 @@ func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
 // Reset clears all cached translations and counters.
 func (h *Hierarchy) Reset() {
-	h.l14k.reset()
-	h.l12m.reset()
-	h.stlb.reset()
-	h.pwcPDE.reset()
-	h.pwcPDPTE.reset()
-	h.pwcPML4E.reset()
+	for _, s := range h.arrays() {
+		s.Reset()
+	}
 	h.stats = Stats{}
 }
 
@@ -328,16 +202,16 @@ func (h *Hierarchy) Lookup(va uint64, size vm.PageSizeClass) Result {
 	h.stats.Lookups++
 	switch size {
 	case vm.Page4K:
-		if h.l14k.lookup(va >> 12) {
+		if h.l14k.Lookup(va >> 12) {
 			return Result{L1Hit: true}
 		}
 	case vm.Page2M:
-		if h.l12m.lookup(va >> 21) {
+		if h.l12m.Lookup(va >> 21) {
 			return Result{L1Hit: true}
 		}
 	}
 	h.stats.L1Misses++
-	if h.stlb.lookup(stlbKey(va, size)) {
+	if h.stlb.Lookup(stlbKey(va, size)) {
 		h.fillL1(va, size)
 		return Result{STLBHit: true}
 	}
@@ -350,42 +224,44 @@ func (h *Hierarchy) Lookup(va uint64, size vm.PageSizeClass) Result {
 // batching that relies on residency after a fill must not engage.
 func (h *Hierarchy) L1Holds(size vm.PageSizeClass) bool {
 	if size == vm.Page2M {
-		return h.l12m.ways != 0
+		return h.l12m.Ways() != 0
 	}
-	return h.l14k.ways != 0
+	return h.l14k.Ways() != 0
 }
 
 // LookupRepeatHit charges n translation lookups of va that are known to
 // hit the L1 array: an earlier Lookup in the same access run installed
-// or refreshed the entry and nothing has invalidated it since. Counters
-// and the array's LRU clock advance exactly as n Lookup calls returning
-// L1Hit would. It panics when the entry is absent, because that means a
-// bulk caller's same-page residency guarantee does not hold.
+// or refreshed the entry, leaving it its set's most-recently-used
+// entry, and no lookup or fill has touched that array since. n hits on
+// an MRU entry leave the recency order unchanged, so only the counters
+// advance, exactly as n Lookup calls returning L1Hit would. It panics
+// when the entry is not its set's MRU, because that means a bulk
+// caller's same-page residency guarantee does not hold.
 func (h *Hierarchy) LookupRepeatHit(va uint64, size vm.PageSizeClass, n uint64) {
 	h.stats.Lookups += n
 	var ok bool
 	if size == vm.Page2M {
-		ok = h.l12m.repeatHit(va>>21, n)
+		ok = h.l12m.IsMRU(va >> 21)
 	} else {
-		ok = h.l14k.repeatHit(va>>12, n)
+		ok = h.l14k.IsMRU(va >> 12)
 	}
 	if !ok {
-		panic(check.Failf("tlb: bulk repeat hit on absent translation va=%#x size=%v", va, size))
+		panic(check.Failf("tlb: bulk repeat hit on va=%#x size=%v, which is not its L1 set's MRU", va, size))
 	}
 }
 
 // fillL1 installs the translation into the size-appropriate L1 array.
 func (h *Hierarchy) fillL1(va uint64, size vm.PageSizeClass) {
 	if size == vm.Page2M {
-		h.l12m.insert(va >> 21)
+		h.l12m.Access(va >> 21)
 	} else {
-		h.l14k.insert(va >> 12)
+		h.l14k.Access(va >> 12)
 	}
 }
 
 // Fill installs a completed walk's translation into the STLB and L1.
 func (h *Hierarchy) Fill(va uint64, size vm.PageSizeClass) {
-	h.stlb.insert(stlbKey(va, size))
+	h.stlb.Access(stlbKey(va, size))
 	h.fillL1(va, size)
 }
 
@@ -406,21 +282,21 @@ func (h *Hierarchy) WalkCost(va uint64, size vm.PageSizeClass) (memLevels, cache
 	// Find the deepest cached level; everything above it is "cached",
 	// everything below (including the terminal entry) goes to memory.
 	switch {
-	case levels == 4 && h.pwcPDE.lookup(pde):
+	case levels == 4 && h.pwcPDE.Lookup(pde):
 		memLevels, cachedLevels = 1, 3 // only the PTE fetch
-	case h.pwcPDPTE.lookup(pdpte):
+	case h.pwcPDPTE.Lookup(pdpte):
 		memLevels, cachedLevels = levels-2, 2
-	case h.pwcPML4E.lookup(pml4e):
+	case h.pwcPML4E.Lookup(pml4e):
 		memLevels, cachedLevels = levels-1, 1
 	default:
 		memLevels, cachedLevels = levels, 0
 	}
 
 	// The walk populates the paging-structure caches on its way down.
-	h.pwcPML4E.insert(pml4e)
-	h.pwcPDPTE.insert(pdpte)
+	h.pwcPML4E.Access(pml4e)
+	h.pwcPDPTE.Access(pdpte)
 	if levels == 4 {
-		h.pwcPDE.insert(pde)
+		h.pwcPDE.Access(pde)
 	}
 	return memLevels, cachedLevels
 }
@@ -433,24 +309,26 @@ func (h *Hierarchy) AddWalkCycles(c uint64) { h.stats.WalkCycles += c }
 // given size (and conservatively drops the matching PWC entries).
 func (h *Hierarchy) Invalidate(va uint64, size vm.PageSizeClass) {
 	if size == vm.Page2M {
-		h.l12m.invalidate(va >> 21)
+		h.l12m.Invalidate(va >> 21)
 	} else {
-		h.l14k.invalidate(va >> 12)
+		h.l14k.Invalidate(va >> 12)
 	}
-	h.stlb.invalidate(stlbKey(va, size))
-	h.pwcPDE.invalidate(va >> 21)
+	h.stlb.Invalidate(stlbKey(va, size))
+	h.pwcPDE.Invalidate(va >> 21)
+}
+
+// arrays returns the six structures in a fixed order, for the
+// whole-hierarchy operations.
+func (h *Hierarchy) arrays() [6]*assoc.Sets {
+	return [6]*assoc.Sets{h.l14k, h.l12m, h.stlb, h.pwcPDE, h.pwcPDPTE, h.pwcPML4E}
 }
 
 // FootprintBytes reports the simulator-side bytes backing the TLB
-// hierarchy's tag and LRU arrays, for the stats.Footprint report. The
-// representation predates the frame-metadata compaction and is
-// unchanged by it.
+// hierarchy's tag arrays, for the stats.Footprint report.
 func (h *Hierarchy) FootprintBytes() uint64 {
 	var b uint64
-	for _, s := range []*setAssoc{h.l14k, h.l12m, h.stlb, h.pwcPDE, h.pwcPDPTE, h.pwcPML4E} {
-		if s != nil {
-			b += uint64(len(s.tags))*8 + uint64(len(s.stamp))*4
-		}
+	for _, s := range h.arrays() {
+		b += s.FootprintBytes()
 	}
 	return b
 }
