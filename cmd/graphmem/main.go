@@ -25,13 +25,13 @@ func main() {
 	dataset := flag.String("dataset", "kr25", "dataset: kr25, twit, web, wiki")
 	file := flag.String("file", "", "load a GMG1 graph file instead of generating a dataset")
 	scale := flag.String("scale", "full", "generated dataset scale: full, bench, test")
-	policy := flag.String("policy", "4k", "page policy: 4k, thp, madvise-prop, selective, auto, ingens, hawkeye")
-	sel := flag.Float64("sel", 0.2, "property-array fraction for -policy selective")
+	policy := flag.String("policy", "4k", "page policy: 4k, thp, madvise-prop, selective, hugetlb, auto, ingens, hawkeye")
+	sel := flag.Float64("sel", 0.2, "property-array fraction for -policy selective or hugetlb (working-set fraction for auto), in (0,1]")
 	method := flag.String("reorder", "orig", "vertex reordering: orig, dbg, sort, rand")
 	order := flag.String("order", "natural", "allocation order: natural or prop-first")
 	pressureGB := flag.Float64("pressure", -1, "memory pressure: free slack beyond WSS in paper-GB (negative disables memhog)")
-	frag := flag.Float64("frag", 0, "fragmentation level of available memory, 0..1")
-	aged := flag.Float64("aged", core.AgedFractionDefault, "ambient non-movable poison fraction when pressured")
+	frag := flag.Float64("frag", 0, "fragmentation level of available memory, in [0,1]")
+	aged := flag.Float64("aged", core.AgedFractionDefault, "ambient non-movable poison fraction when pressured, in [0,1)")
 	prIters := flag.Int("pr-iters", 5, "PageRank iteration cap")
 	flag.Parse()
 
@@ -54,6 +54,12 @@ func buildSpec(app, dataset, file, scale, policy string, sel float64,
 	method, order string, pressureGB, frag, aged float64, prIters int) (core.RunSpec, error) {
 
 	var spec core.RunSpec
+	if err := cli.CheckFraction("frag", frag, true); err != nil {
+		return spec, err
+	}
+	if err := cli.CheckFraction("aged", aged, false); err != nil {
+		return spec, err
+	}
 
 	var err error
 	if spec.App, err = cli.ParseApp(app); err != nil {

@@ -51,7 +51,7 @@ import (
 // which is what invalidates every stale store entry at once (content
 // addressing handles spec changes; the version handles format
 // changes).
-const Version = 2
+const Version = 3
 
 var magic = [8]byte{'G', 'M', 'C', 'K', 'P', 'T', '0', '\n'}
 
@@ -198,7 +198,7 @@ type Encoder struct {
 func (e *Encoder) Err() error { return e.err }
 
 // Failf records a codec-level error (state that must not be
-// serialized, like a live ticker), aborting the save.
+// serialized, like a frame owner without a codec), aborting the save.
 func (e *Encoder) Failf(format string, args ...any) {
 	if e.err == nil {
 		e.err = fmt.Errorf("ckpt: "+format, args...)

@@ -153,10 +153,10 @@ func TestEncoderFailf(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := Save(&buf, "k", func(e *Encoder) {
 		e.U64(1)
-		e.Failf("live ticker %q", "churn")
+		e.Failf("owner %q has no codec", "hog")
 		e.U64(2) // must be a no-op
 	})
-	if err == nil || !strings.Contains(err.Error(), "live ticker") {
+	if err == nil || !strings.Contains(err.Error(), "has no codec") {
 		t.Fatalf("Save error = %v", err)
 	}
 }

@@ -78,8 +78,15 @@ func ParseOrder(name string) (analytics.AllocOrder, error) {
 	return 0, fmt.Errorf("unknown allocation order %q (want natural or prop-first)", name)
 }
 
-// ParsePolicy resolves a policy name; sel parameterizes selective/auto.
+// ParsePolicy resolves a policy name; sel parameterizes selective,
+// hugetlb and auto, and must lie in (0,1] for them.
 func ParsePolicy(name string, sel float64, app analytics.App, g *graph.Graph) (core.Policy, error) {
+	switch name {
+	case "selective", "hugetlb", "auto":
+		if !(sel > 0 && sel <= 1) {
+			return core.Policy{}, fmt.Errorf("-sel %v out of (0,1] for policy %s", sel, name)
+		}
+	}
 	switch name {
 	case "4k":
 		return core.Base4K(), nil
@@ -104,6 +111,18 @@ func ParsePolicy(name string, sel float64, app analytics.App, g *graph.Graph) (c
 	}
 	return core.Policy{}, fmt.Errorf(
 		"unknown policy %q (want 4k, thp, madvise-prop, selective, hugetlb, auto, ingens, or hawkeye)", name)
+}
+
+// CheckFraction returns an error unless v lies in [0,1], or in [0,1)
+// when one is not allowed; flag names the option in the message.
+func CheckFraction(flag string, v float64, oneAllowed bool) error {
+	if v >= 0 && (v < 1 || oneAllowed && v == 1) {
+		return nil
+	}
+	if oneAllowed {
+		return fmt.Errorf("-%s %v out of [0,1]", flag, v)
+	}
+	return fmt.Errorf("-%s %v out of [0,1)", flag, v)
 }
 
 // LoadGraph loads a GMG1 or edge-list file (by extension: .txt/.el =

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,6 +86,58 @@ func TestParsePolicyVariants(t *testing.T) {
 	}
 	if _, err := ParsePolicy("yolo", 0.5, analytics.BFS, g); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+}
+
+func TestParsePolicySelRange(t *testing.T) {
+	g := gen.Generate(gen.Wiki, gen.ScaleTest, false)
+	for _, tc := range []struct {
+		policy string
+		sel    float64
+		ok     bool
+	}{
+		{"selective", 0.5, true},
+		{"selective", 1, true},
+		{"selective", 3, false},
+		{"selective", 0, false},
+		{"selective", -0.2, false},
+		{"selective", math.NaN(), false},
+		{"hugetlb", 1, true},
+		{"hugetlb", 1.5, false},
+		{"hugetlb", 0, false},
+		{"auto", 0.5, true},
+		{"auto", 2, false},
+		{"thp", 3, true}, // sel is ignored where it parameterizes nothing
+	} {
+		_, err := ParsePolicy(tc.policy, tc.sel, analytics.BFS, g)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParsePolicy(%q, sel=%v) error = %v, want ok=%v", tc.policy, tc.sel, err, tc.ok)
+		}
+	}
+}
+
+func TestCheckFraction(t *testing.T) {
+	for _, tc := range []struct {
+		v          float64
+		oneAllowed bool
+		ok         bool
+	}{
+		{0, true, true},
+		{0.5, true, true},
+		{1, true, true},
+		{1.5, true, false},
+		{-0.5, true, false},
+		{0, false, true},
+		{0.99, false, true},
+		{1, false, false},
+		{2, false, false},
+		{-0.1, false, false},
+		{math.NaN(), true, false},
+	} {
+		err := CheckFraction("x", tc.v, tc.oneAllowed)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckFraction(%v, oneAllowed=%v) error = %v, want ok=%v", tc.v, tc.oneAllowed, err, tc.ok)
+		}
 	}
 }
 

@@ -427,32 +427,6 @@ func TestHugetlbSelectiveImmuneToFragmentation(t *testing.T) {
 	}
 }
 
-func TestChurnCreatesDynamicPressure(t *testing.T) {
-	// A churner cycling through most of the slack must depress THP's
-	// huge page usage relative to a quiet machine at the same static
-	// pressure level.
-	base := core.Pressured(8 << 20)
-	quiet, err := core.Run(wideSpec(t, core.THPAlways(), base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	churnEnv := base
-	churnEnv.ChurnBytes = 16 << 20
-	churnEnv.ChurnIntervalCycles = 5_000
-	churny, err := core.Run(wideSpec(t, core.THPAlways(), churnEnv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if churny.TotalHugeBytes >= quiet.TotalHugeBytes {
-		t.Fatalf("churn did not depress huge usage: %d >= %d",
-			churny.TotalHugeBytes, quiet.TotalHugeBytes)
-	}
-	// The workload still completes correctly.
-	if len(churny.Output.Hops) != len(quiet.Output.Hops) {
-		t.Fatal("output shape changed under churn")
-	}
-}
-
 // TestDeterminism: identical specs produce bit-identical results —
 // cycles, stats, and memory layouts. This is what makes every table in
 // EXPERIMENTS.md exactly reproducible.

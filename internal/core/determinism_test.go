@@ -37,17 +37,15 @@ func formatResult(r *core.RunResult) string {
 // twice in one process and requires byte-identical statistics. The
 // environment deliberately stacks every nondeterminism-prone subsystem:
 // an aged fragmented node, memhog pressure, single-use page cache,
-// an oscillating co-runner, compaction-vs-reclaim interleavings, and
-// supply-timeline sampling. This is the regression test for the
-// project's central contract — identical call sequences produce
-// identical physical layouts — which simlint enforces statically and
-// the simcheck audits enforce structurally.
+// compaction-vs-reclaim interleavings, and supply-timeline sampling.
+// This is the regression test for the project's central contract —
+// identical call sequences produce identical physical layouts — which
+// simlint enforces statically and the simcheck audits enforce
+// structurally.
 func TestRunIsDeterministic(t *testing.T) {
 	env := core.Pressured(12 << 20)
 	env.FragLevel = 0.3
 	env.PageCacheBytes = 2 << 20
-	env.ChurnBytes = 1 << 20
-	env.ChurnIntervalCycles = 50_000
 	env.Seed = 42
 
 	spec := quickSpec(t, analytics.BFS, core.THPAlways(), env)

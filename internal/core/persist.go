@@ -71,12 +71,6 @@ func (p *prepared) encode(e *ckpt.Encoder) {
 	_ = p.memBytes  // recomputed by stage
 	_ = p.preCycles // recomputed by stage
 	_ = p.cuts      // recomputed by stage (partitioning is deterministic)
-	if len(p.supply) != 0 {
-		// Supply sampling registers a ticker, so such specs are not
-		// SnapshotSafe and never reach Prepare, let alone Save.
-		e.Failf("core: prepared run carries %d supply samples; sampled specs are not checkpointable", len(p.supply))
-		return
-	}
 	p.m.Encode(e, encodeExternalOwner)
 	p.img.Encode(e)
 }
@@ -104,9 +98,6 @@ func (cp *Checkpoint) Save(w io.Writer, key string) (int64, error) {
 // state transfer, and everything not serialized is recomputed through
 // the same stage() path Prepare uses (MODEL.md §7).
 func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) {
-	if !SnapshotSafe(spec) {
-		return nil, fmt.Errorf("core: spec registers machine tickers (churn or supply sampling); it cannot have been checkpointed")
-	}
 	if SnapshotsDisabled() {
 		return nil, fmt.Errorf("core: GRAPHMEM_NO_SNAPSHOT is open; checkpoints replay their load phase instead of loading")
 	}
@@ -133,6 +124,9 @@ func LoadCheckpoint(spec RunSpec, key string, r io.Reader) (*Checkpoint, error) 
 	}
 	if m.Space.SimPageTables != p.spec.SimulatePageTables {
 		return nil, fmt.Errorf("core: checkpoint %s disagrees with the spec on page-table simulation", key)
+	}
+	if m.SupplyEvery() != p.spec.SampleSupplyEvery {
+		return nil, fmt.Errorf("core: checkpoint %s samples supply every %d cycles, spec every %d", key, m.SupplyEvery(), p.spec.SampleSupplyEvery)
 	}
 	if !img.Initialized() {
 		return nil, fmt.Errorf("core: checkpoint %s holds an uninitialized image", key)

@@ -48,14 +48,6 @@ type Environment struct {
 	// Zero models the paper's tmpfs-on-remote-node mitigation.
 	PageCacheBytes uint64
 
-	// ChurnBytes, when non-zero, runs a co-runner whose anonymous
-	// footprint oscillates between 0 and this many bytes while the
-	// application executes — dynamic memory pressure, the case the
-	// paper's static memhog levels approximate. ChurnIntervalCycles
-	// sets the oscillation step cadence (default ~1M cycles).
-	ChurnBytes          uint64
-	ChurnIntervalCycles uint64
-
 	Seed uint64
 }
 
@@ -112,7 +104,10 @@ type RunSpec struct {
 	// SampleSupplyEvery, when non-zero, samples the huge page economy
 	// every that-many simulated cycles into RunResult.Supply — the
 	// measured version of the paper's Fig. 6 narrative (huge page
-	// regions being consumed as arrays allocate).
+	// regions being consumed as arrays allocate). Sampling is machine
+	// state (machine.SampleSupply), so sampled specs checkpoint and
+	// fork like any other; sharded runs reject it, because a supply
+	// timeline belongs to one node.
 	SampleSupplyEvery uint64
 
 	// Run selects kernel parameters; zero selects defaults (max-degree
@@ -127,8 +122,7 @@ type RunSpec struct {
 	// modeled system — while the number of worker goroutines driving
 	// the shards is an execution detail (GRAPHMEM_SHARD_WORKERS,
 	// expdriver -shards) that never changes output. Sharded runs
-	// require SnapshotSafe specs (no churn co-runner, no supply
-	// sampler).
+	// cannot sample supply (SampleSupplyEvery must be zero).
 	Shards int
 
 	// PreReorderCost, when non-nil, declares that Graph has already
@@ -168,7 +162,7 @@ type RunResult struct {
 
 	// Supply holds the huge-page-economy timeline when
 	// RunSpec.SampleSupplyEvery was set.
-	Supply []SupplySample
+	Supply []machine.SupplySample
 
 	// ShardKernelCycles holds each shard machine's kernel-phase cycles
 	// when RunSpec.Shards > 1 (KernelCycles is then the barrier
@@ -176,15 +170,6 @@ type RunResult struct {
 	ShardKernelCycles []uint64
 
 	Output analytics.Result
-}
-
-// SupplySample is one point of the huge page economy: how many free 2MB
-// blocks remain and how much of each key array is huge-backed.
-type SupplySample struct {
-	Cycles         uint64
-	FreeHugeBlocks uint64
-	EdgeHugeBytes  uint64
-	PropHugeBytes  uint64
 }
 
 // HugeShareOfFootprint is the fraction of the application's mapped
@@ -223,7 +208,6 @@ type prepared struct {
 	preCycles uint64
 	m         *machine.Machine
 	img       *analytics.Image
-	supply    []SupplySample
 
 	// cuts holds the shard vertex partition (len Shards+1) when
 	// spec.Shards > 1; nil otherwise (shard.go).
@@ -256,8 +240,8 @@ func stage(spec RunSpec) (*prepared, error) {
 	// Preprocessing (reordering) happens before the machine exists:
 	// the paper performs it "separately in order to not interfere with
 	// the available memory for huge pages" but charges its time.
-	if spec.Shards > 1 && !SnapshotSafe(spec) {
-		return nil, fmt.Errorf("core: RunSpec.Shards=%d requires a snapshot-safe spec (no churn co-runner, no supply sampler): shard bring-up forks the prepared machine", spec.Shards)
+	if spec.Shards > 1 && spec.SampleSupplyEvery > 0 {
+		return nil, fmt.Errorf("core: RunSpec.Shards=%d with SampleSupplyEvery: a supply timeline belongs to one node, and a sharded run has one node per shard", spec.Shards)
 	}
 	if spec.Shards > 255 {
 		return nil, fmt.Errorf("core: RunSpec.Shards=%d exceeds the engine's 255-shard owner table", spec.Shards)
@@ -355,25 +339,6 @@ func prepare(spec RunSpec) (*prepared, error) {
 		pc := workload.NewPageCache(m.Mem)
 		pc.Fill(spec.Env.PageCacheBytes)
 	}
-	if spec.Env.ChurnBytes > 0 {
-		interval := spec.Env.ChurnIntervalCycles
-		if interval == 0 {
-			interval = 1_000_000
-		}
-		ch := workload.NewChurner(m.Mem, spec.Env.ChurnBytes, 256)
-		// The co-runner was already mid-phase when the application
-		// started: grow to half footprint so initialization contends
-		// with it from the first fault.
-		for ch.ResidentBytes() < spec.Env.ChurnBytes/2 {
-			before := ch.ResidentBytes()
-			ch.Step()
-			if ch.ResidentBytes() == before {
-				break // memory exhausted; churner backed off
-			}
-		}
-		m.AddTicker(interval, func(uint64) { ch.Step() })
-	}
-
 	auditMachine(m) // environment staged: allocator must already be consistent
 
 	img, err := analytics.NewImage(m, g, spec.App)
@@ -385,16 +350,7 @@ func prepare(spec RunSpec) (*prepared, error) {
 	p.m = m
 	p.img = img
 	if spec.SampleSupplyEvery > 0 {
-		m.AddTicker(spec.SampleSupplyEvery, func(now uint64) {
-			_, edgeHuge := img.Edge.MappedBytes()
-			_, propHuge := img.Prop.MappedBytes()
-			p.supply = append(p.supply, SupplySample{
-				Cycles:         now,
-				FreeHugeBlocks: m.Mem.FreeHugeBlocks(),
-				EdgeHugeBytes:  edgeHuge,
-				PropHugeBytes:  propHuge,
-			})
-		})
+		m.SampleSupply(spec.SampleSupplyEvery, img.Edge, img.Prop)
 	}
 
 	img.Init(spec.Order)
@@ -426,7 +382,7 @@ func (p *prepared) finish(m *machine.Machine, img *analytics.Image) *RunResult {
 		PreprocessCycles: p.preCycles,
 		Arrays:           m.ArrayStats(),
 		OS:               m.Kernel.Stats(),
-		Supply:           p.supply,
+		Supply:           m.Supply(),
 		Output:           out,
 	}
 	for _, p := range phases {

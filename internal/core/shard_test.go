@@ -157,16 +157,14 @@ func TestShardedWorkerHammer(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnsafeSpecs: sharding forks the prepared machine,
-// so the same tickered specs Prepare refuses must be refused by Run,
-// and the owner table bounds the shard count.
+// TestShardedRejectsUnsafeSpecs: a supply timeline belongs to one node
+// and a sharded run has one node per shard, so Run must refuse a
+// sampled sharded spec; the owner table bounds the shard count.
 func TestShardedRejectsUnsafeSpecs(t *testing.T) {
-	env := stressedEnv()
-	env.ChurnBytes = 1 << 20
-	spec := quickSpec(t, analytics.BFS, core.THPAlways(), env)
-	spec.Shards = 4
+	spec := shardedSpec(t, analytics.BFS, core.THPAlways(), 4)
+	spec.SampleSupplyEvery = 100_000
 	if _, err := core.Run(spec); err == nil {
-		t.Fatal("Run accepted a churning sharded spec")
+		t.Fatal("Run accepted a supply-sampling sharded spec")
 	}
 	spec = shardedSpec(t, analytics.BFS, core.THPAlways(), 256)
 	if _, err := core.Run(spec); err == nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"graphmem/internal/analytics"
 	"graphmem/internal/machine"
 	"graphmem/internal/memsys"
@@ -30,15 +28,6 @@ import (
 // every fork replays its load phase from the spec.
 func SnapshotsDisabled() bool { return HatchDisabled(HatchSnapshot) }
 
-// SnapshotSafe reports whether spec's load phase can be checkpointed
-// and forked. Specs that register machine tickers — a churning
-// co-runner or a supply sampler — are excluded: tickers are closures
-// over state outside the machine, which a deep copy cannot capture
-// (machine.Forkable). Such cells run monolithically via Run.
-func SnapshotSafe(spec RunSpec) bool {
-	return spec.Env.ChurnBytes == 0 && spec.SampleSupplyEvery == 0
-}
-
 // Checkpoint is a load phase frozen for forking: the machine state the
 // moment init completed. Fork yields independent machine+image pairs
 // that all start from that state; Run executes the spec's own kernel
@@ -53,15 +42,11 @@ type Checkpoint struct {
 	pre  *prepared // nil when snapshotting is disabled
 }
 
-// Prepare runs spec's load phase once and freezes it. It fails on
-// specs that are not SnapshotSafe and on any load-phase error Run
-// would report. When GRAPHMEM_NO_SNAPSHOT is set, the load phase is
-// deferred to Fork time instead (so disabling snapshots costs one
-// replay per fork, not one extra replay overall).
+// Prepare runs spec's load phase once and freezes it. It fails on any
+// load-phase error Run would report. When GRAPHMEM_NO_SNAPSHOT is set,
+// the load phase is deferred to Fork time instead (so disabling
+// snapshots costs one replay per fork, not one extra replay overall).
 func Prepare(spec RunSpec) (*Checkpoint, error) {
-	if !SnapshotSafe(spec) {
-		return nil, fmt.Errorf("core: spec registers machine tickers (churn or supply sampling); run it monolithically")
-	}
 	cp := &Checkpoint{spec: spec}
 	if SnapshotsDisabled() {
 		return cp, nil
@@ -134,16 +119,9 @@ func ForkPair(m *machine.Machine, img *analytics.Image) (*machine.Machine, *anal
 // fidelity is what the CI equivalence gate verifies.
 func (cp *Checkpoint) Run() (*RunResult, error) {
 	if cp.pre == nil {
-		p, err := prepare(cp.spec)
-		if err != nil {
-			return nil, err
-		}
-		return p.finish(p.m, p.img), nil
+		return Run(cp.spec)
 	}
-	fm, img, err := cp.Fork()
-	if err != nil {
-		return nil, err
-	}
+	fm, img := ForkPair(cp.pre.m, cp.pre.img)
 	return cp.pre.finish(fm, img), nil
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -101,20 +102,59 @@ func TestForkMatchesReplayDisabled(t *testing.T) {
 	}
 }
 
-// TestPrepareRejectsTickeredSpecs: specs that register machine tickers
-// (churn co-runner, supply sampler) close over state a deep copy
-// cannot capture, so Prepare must refuse them rather than fork a
-// machine that silently lost its co-runner.
-func TestPrepareRejectsTickeredSpecs(t *testing.T) {
-	env := stressedEnv()
-	env.ChurnBytes = 1 << 20
-	if _, err := core.Prepare(quickSpec(t, analytics.BFS, core.THPAlways(), env)); err == nil {
-		t.Fatal("Prepare accepted a churning spec")
-	}
+// TestSampledSpecForksMatchRun: supply sampling is machine state, so a
+// sampled spec checkpoints like any other. The monolithic Run, two
+// forks of one checkpoint, and a fork of a saved-and-reloaded
+// checkpoint must all produce deeply equal results, Supply included,
+// with samples taken in both the load and the kernel phase. The two
+// forks are compared only after both ran, so a timeline both forks
+// append to would show as a divergence (machine.TestForkOwnsSupplySamples
+// covers a shared backing array).
+func TestSampledSpecForksMatchRun(t *testing.T) {
 	spec := quickSpec(t, analytics.BFS, core.THPAlways(), stressedEnv())
+	spec.SimulatePageTables = true
 	spec.SampleSupplyEvery = 100_000
-	if _, err := core.Prepare(spec); err == nil {
-		t.Fatal("Prepare accepted a supply-sampling spec")
+	ref, err := core.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, _, err := cp.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fm.Supply()); n == 0 || n >= len(ref.Supply) {
+		t.Fatalf("%d of %d samples taken by the end of init, want samples in both phases", n, len(ref.Supply))
+	}
+	var runs []*core.RunResult
+	for i := 0; i < 2; i++ {
+		got, err := cp.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, got)
+	}
+	var buf bytes.Buffer
+	if _, err := cp.Save(&buf, "sampled"); err != nil {
+		t.Fatal(err)
+	}
+	lcp, err := core.LoadCheckpoint(spec, "sampled", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := lcp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, loaded)
+	for i, got := range runs {
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("run %d diverged from the monolithic run:\n--- monolithic ---\n%s--- checkpointed ---\n%s",
+				i, formatResult(ref), formatResult(got))
+		}
 	}
 }
 

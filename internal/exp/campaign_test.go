@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"graphmem/internal/analytics"
-	"graphmem/internal/core"
 	"graphmem/internal/gen"
 	"graphmem/internal/reorder"
 )
@@ -195,12 +194,12 @@ func sortedKeys(m map[string]bool) []string {
 
 // TestCapsMatchCells proves every registry entry's advertised capability
 // list (what expdriver -list prints) is derived from, not asserted over,
-// its declared cells: snapshot-forkable iff some cell's spec passes
-// core.SnapshotSafe, sharded iff some cell runs more than one shard, and
-// full-scale-gated reserved for the experiment the CI fullscale gate
-// wraps. Experiments without declarable cells may still claim
-// snapshot-forkable when they fork checkpoints outside the cell space
-// (ext-rollout), but never sharded or full-scale-gated.
+// its declared cells: snapshot-forkable iff it declares any cell (every
+// cell runs on a checkpoint fork), sharded iff some cell runs more than
+// one shard, and full-scale-gated reserved for the experiment the CI
+// fullscale gate wraps. Experiments without declarable cells may still
+// claim snapshot-forkable when they fork checkpoints outside the cell
+// space (ext-rollout), but never sharded or full-scale-gated.
 func TestCapsMatchCells(t *testing.T) {
 	known := map[string]bool{CapSnapshot: true, CapSharded: true, CapFullScale: true}
 	for _, e := range Registry {
@@ -226,12 +225,10 @@ func TestCapsMatchCells(t *testing.T) {
 				}
 				return
 			}
-			s := testSuite()
-			var snapshot, sharded bool
-			for _, c := range e.Cells(s) {
-				if core.SnapshotSafe(s.spec(c)) {
-					snapshot = true
-				}
+			cells := e.Cells(testSuite())
+			snapshot := len(cells) > 0
+			var sharded bool
+			for _, c := range cells {
 				if c.shards > 1 {
 					sharded = true
 				}

@@ -88,13 +88,10 @@ func (s *Suite) fullscaleCells() []runCfg {
 
 // FullscaleFootprint stages (or recalls) the flagship cell's load
 // phase and returns the frozen machine's simulator-footprint report.
-// ok is false when GRAPHMEM_NO_SNAPSHOT is set — there is no resident
-// machine to introspect then.
+// ok is false when GRAPHMEM_NO_SNAPSHOT is set — the checkpoint then
+// holds no resident machine to introspect (core.Checkpoint.Footprint).
 func (s *Suite) FullscaleFootprint() (stats.Footprint, bool) {
 	c := s.fullscaleCfg()
-	if !core.SnapshotSafe(s.spec(c)) || core.SnapshotsDisabled() {
-		return stats.Footprint{}, false
-	}
 	return s.checkpoint(c.initKey(), s.spec(c)).Footprint()
 }
 

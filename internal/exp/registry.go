@@ -56,7 +56,7 @@ var Registry = []Experiment{
 	{"fig3", "Fig. 3", "TLB miss rates, 4KB vs THP", (*Suite).Fig3, (*Suite).fig2Cells, CapSnapshot},
 	{"fig4", "Fig. 4", "per-data-structure access breakdown", (*Suite).Fig4, (*Suite).fig4Cells, CapSnapshot},
 	{"fig5", "Fig. 5", "per-structure madvise THP speedups (BFS)", (*Suite).Fig5, (*Suite).fig5Cells, CapSnapshot},
-	{"fig6", "Fig. 6", "huge page supply timeline during initialization", (*Suite).Fig6, (*Suite).fig6Cells, ""},
+	{"fig6", "Fig. 6", "huge page supply timeline during initialization", (*Suite).Fig6, (*Suite).fig6Cells, CapSnapshot},
 	{"fig7", "Fig. 7", "high pressure: natural vs optimized allocation order", (*Suite).Fig7, (*Suite).fig7Cells, CapSnapshot},
 	{"sweep", "§4.3.1", "memory pressure sweep incl. oversubscription", (*Suite).PressureSweep, (*Suite).sweepCells, CapSnapshot},
 	{"fig8", "Fig. 8", "50% fragmentation: natural vs optimized order", (*Suite).Fig8, (*Suite).fig8Cells, CapSnapshot},

@@ -166,14 +166,15 @@ func (c runCfg) key() string {
 // initKey names the cell's load phase: every field that shapes machine
 // state through the end of init. Cells with equal initKeys reach
 // byte-identical post-init state, so they may fork from one shared
-// Checkpoint. sampleEvery is omitted deliberately — sampled cells never
-// take the snapshot path (core.SnapshotSafe), so it cannot split a
-// load phase. shards is included: a sharded cell's Checkpoint carries
-// the partition (and its preprocessing charge) in its prepared state,
-// so sharded and monolithic cells may not share one.
+// Checkpoint. sampleEvery is included: the supply sampler is machine
+// state that runs through init, so a sampled cell (Fig. 6) may not
+// share a load phase with an unsampled twin (Fig. 7). shards is
+// included: a sharded cell's Checkpoint carries the partition (and its
+// preprocessing charge) in its prepared state, so sharded and
+// monolithic cells may not share one.
 func (c runCfg) initKey() string {
-	return fmt.Sprintf("%s|%s|%s|%v|%s|%.3f|%+v|%d",
-		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.shards)
+	return fmt.Sprintf("%s|%s|%s|%v|%s|%.3f|%+v|%d|%d",
+		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.sampleEvery, c.shards)
 }
 
 // label is the short operator-facing cell name used in progress lines.
@@ -211,12 +212,11 @@ func (s *Suite) spec(c runCfg) core.RunSpec {
 // checkpoint returns the shared post-init snapshot for one load phase,
 // preparing it on first request. Like the graph cache, the promise
 // cache collapses concurrent requests for one load phase onto a single
-// preparation; spec must be SnapshotSafe (Prepare rejects the rest).
-// With the persistent store enabled (Suite.CkptDir), a first request
-// consults the store before staging and saves what it staged on a miss
-// — forks from a loaded machine are byte-identical to forks from a
-// staged one (core.LoadCheckpoint), so memoization semantics are
-// unchanged.
+// preparation. With the persistent store enabled (Suite.CkptDir), a
+// first request consults the store before staging and saves what it
+// staged on a miss — forks from a loaded machine are byte-identical to
+// forks from a staged one (core.LoadCheckpoint), so memoization
+// semantics are unchanged.
 func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
 	return s.inits.Get(initKey, func() *core.Checkpoint {
 		if cp := s.loadCheckpoint(initKey, spec); cp != nil {
@@ -236,26 +236,18 @@ func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
 // blocks on the same promise; the returned pointer is identical across
 // all requesters.
 //
-// Snapshot-safe cells (no churn co-runner, no supply sampler) run their
-// kernel on a fork of the shared post-init Checkpoint for their load
-// phase, so N policies sharing one (graph, machine config, load phase)
-// pay for init once instead of N times. Cells that register machine
-// tickers replay monolithically via core.Run — and so does everything
-// when GRAPHMEM_NO_SNAPSHOT is set, which is exactly the equivalence
-// CI's byte-diff gate checks (scripts/ci.sh step 11).
+// Every cell runs its kernel on a fork of the shared post-init
+// Checkpoint for its load phase, so N policies sharing one (graph,
+// machine config, load phase) pay for init once instead of N times.
+// With GRAPHMEM_NO_SNAPSHOT set every cell replays its load phase
+// instead, which is exactly the equivalence CI's byte-diff gate checks
+// (scripts/ci.sh step 11).
 func (s *Suite) run(c runCfg) *core.RunResult {
 	if s.onRun != nil {
 		s.onRun(c)
 	}
 	return s.runs.Get(c.key(), func() *core.RunResult {
-		spec := s.spec(c)
-		var r *core.RunResult
-		var err error
-		if core.SnapshotSafe(spec) {
-			r, err = s.checkpoint(c.initKey(), spec).Run()
-		} else {
-			r, err = core.Run(spec)
-		}
+		r, err := s.checkpoint(c.initKey(), s.spec(c)).Run()
 		if err != nil {
 			panic(check.Failf("exp: run %s: %v", c.key(), err))
 		}

@@ -126,7 +126,7 @@ func writerList(sites []writeSite) string {
 // //simlint:fastpath file must land on a function that is transitively
 // allocation-free (panic paths exempt). The diagnostic anchors at the
 // call site in the tagged file — the boundary where a waiver, if the
-// escape is architectural (fault handling, observer fan-out), belongs.
+// escape is architectural (fault handling, event dispatch), belongs.
 func checkFastPathReach(p *Pass) {
 	fastFiles := make(map[string]bool)
 	for _, file := range p.Files {

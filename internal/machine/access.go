@@ -22,7 +22,7 @@ import (
 //     miss handling lives in access_slow.go;
 //   - phase, heat, and per-array accounting are plain field increments;
 //   - background actors cost one compare (m.cycles >= m.nextEvent);
-//   - observers dispatch only when registered.
+//   - the tracer is called only when attached.
 //
 // The file is tagged //simlint:fastpath: rule SL007 rejects appends, map
 // writes, and allocating closure captures here.
@@ -49,8 +49,7 @@ func (m *Machine) Access(va uint64) {
 	// Data access at the physical address.
 	pa := uint64(tr.Frame)<<memsys.PageShift + (va - tr.BaseVA)
 	var dataCycles uint64
-	lvl := m.Cache.Access(pa)
-	switch lvl {
+	switch m.Cache.Access(pa) {
 	case cache.HitL1:
 		dataCycles = m.Model.L1DHit
 	case cache.HitLLC:
@@ -71,13 +70,13 @@ func (m *Machine) Access(va uint64) {
 	m.phase.Cycles += cycles
 	m.phase.Accesses++
 
-	// Dynamically registered observers (tracer among them).
-	if len(m.observers) != 0 {
-		m.notifyObservers(va, tr, res, lvl, cycles)
+	// Trace capture, when a tracer is attached (stats.go).
+	if m.tracer != nil {
+		m.trace(va, tr.VMA)
 	}
 
 	// Event layer: dispatch background actors only when one is due.
 	if m.cycles >= m.nextEvent {
-		m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+		m.runEvents() //simlint:ignore SL012 due-event dispatch, once per deadline: khugepaged's scan and the supply sampler's append may allocate
 	}
 }

@@ -40,24 +40,22 @@ import (
 //     access that first reaches the deadline, accumulated accounting is
 //     flushed, and events run at the same cycle the scalar loop would
 //     run them;
-//   - observers registered (tracing): per-access dispatch so traces stay
-//     byte-identical. Re-checked after every event dispatch, so a ticker
-//     attaching a tracer mid-batch degrades the rest of the batch;
-//     flushing before runEvents means no gather state is in flight when
-//     it does.
 //
-// GRAPHMEM_NO_GATHER=1 or SetGather(false) degrade the whole batch to
-// scalar dispatch; the CI gate diffs a campaign run both ways.
+// A tracer attached (trace capture) sends the whole batch per access so
+// traces stay byte-identical. Event dispatch cannot attach one, so the
+// check is made once per call. GRAPHMEM_NO_GATHER=1 or SetGather(false)
+// degrade the whole batch to scalar dispatch too; the CI gate diffs a
+// campaign run both ways.
 func (m *Machine) AccessGather(vas []uint64) {
+	// Per-batch dispatch when batching is off or unsound: gather
+	// disabled, tracer attached, or a zero-cost hit model (the
+	// event-split division needs cHit > 0).
+	if m.noGather || m.tracer != nil || m.Model.L1DHit+m.Model.Compute == 0 {
+		m.accessEach(vas) //simlint:ignore SL012 per-batch fallback; Access waives its own fault/event escapes
+		return
+	}
 	i, n := 0, len(vas)
 	for i < n {
-		// Per-batch dispatch when batching is off or unsound: gather
-		// disabled, observers registered, or a zero-cost hit model (the
-		// event-split division needs cHit > 0).
-		if m.noGather || len(m.observers) != 0 || m.Model.L1DHit+m.Model.Compute == 0 {
-			m.accessEach(vas[i:]) //simlint:ignore SL012 per-batch fallback; Access waives its own fault/event escapes
-			return
-		}
 		// Scalar dispatch for any access the gather engine cannot
 		// batch: a translation-cache miss (new page, unmapped/faulting
 		// page, shootdown), a due or stale event deadline (a
@@ -76,8 +74,8 @@ func (m *Machine) AccessGather(vas []uint64) {
 // gatherSegment batches accesses from vas[i:] while they stay inside the
 // translation cache's current page, returning the index of the first
 // unprocessed address. The caller established: gather enabled, no
-// observers, vas[i] inside the cached page, L1 TLB capacity for its
-// size, and cycles < nextEvent.
+// tracer, vas[i] inside the cached page, L1 TLB capacity for its size,
+// and cycles < nextEvent.
 func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	// The segment's first access takes the full scalar path: it does
 	// the real TLB lookup — installing (or refreshing) L1 residency the
@@ -87,9 +85,8 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 	i++
 	n := len(vas)
 	// Re-establish the batching preconditions: the event dispatch inside
-	// Access may have shot down the translation, registered an observer,
-	// or left a stale deadline.
-	if i == n || vas[i]-m.trBase >= m.trSpan || m.cycles >= m.nextEvent || len(m.observers) != 0 {
+	// Access may have shot down the translation or left a stale deadline.
+	if i == n || vas[i]-m.trBase >= m.trSpan || m.cycles >= m.nextEvent {
 		return i
 	}
 
@@ -143,7 +140,7 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 			if cyc >= deadline {
 				m.cycles = cyc
 				m.flushBulk(done, data)
-				m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+				m.runEvents() //simlint:ignore SL012 due-event dispatch, once per deadline: khugepaged's scan and the supply sampler's append may allocate
 				return i
 			}
 		}
@@ -176,7 +173,7 @@ func (m *Machine) gatherSegment(vas []uint64, i int) int {
 		if cyc >= deadline {
 			m.cycles = cyc
 			m.flushBulk(done, data)
-			m.runEvents() //simlint:ignore SL012 due-event dispatch; registered tickers own their allocation budget
+			m.runEvents() //simlint:ignore SL012 due-event dispatch, once per deadline: khugepaged's scan and the supply sampler's append may allocate
 			return i
 		}
 	}

@@ -45,11 +45,9 @@ type gatherOp struct {
 func replayGatherDiff(dc diffConfig, ops []gatherOp, gather bool) diffSnapshot {
 	m := New(dc.cfg)
 	m.SetGather(gather)
-	if dc.ticker != 0 {
-		m.AddTicker(dc.ticker, func(now uint64) {})
-	}
 	a := m.Space.Mmap("a", 6<<20)
 	b := m.Space.Mmap("b", 3<<20)
+	m.SampleSupply(dc.sampleEvery, a, b)
 	a.Madvise(0, 2<<20, vm.AdviceHuge)
 	b.Madvise(2<<20, 1<<20, vm.AdviceNoHuge)
 	m.RegisterArray(a)
@@ -88,6 +86,7 @@ func replayGatherDiff(dc diffConfig, ops []gatherOp, gather bool) diffSnapshot {
 		Arrays: m.ArrayStats(),
 		TLB:    m.TLB.Stats(),
 		Cache:  m.Cache.Stats(),
+		Supply: m.Supply(),
 	}
 	for _, v := range vmas {
 		snap.Heat = append(snap.Heat, v.HeatCopy())

@@ -29,9 +29,9 @@ type diffOp struct {
 
 // diffConfig is one hardware/kernel configuration under test.
 type diffConfig struct {
-	name   string
-	cfg    Config
-	ticker uint64 // extra no-op ticker interval, 0 for none
+	name        string
+	cfg         Config
+	sampleEvery uint64 // supply sampler interval, 0 for none
 }
 
 func diffConfigs() []diffConfig {
@@ -54,7 +54,7 @@ func diffConfigs() []diffConfig {
 
 	return []diffConfig{
 		{name: "default", cfg: Config{MemoryBytes: 64 << 20, TLB: tlb.Haswell(), Cache: cache.Haswell(), Cost: cost.Default(), Kernel: oskernel.DefaultConfig()}},
-		{name: "small+khugepaged", cfg: Config{MemoryBytes: 64 << 20, TLB: smallTLB, Cache: smallCache, Cost: cost.Fast(), Kernel: khuge}, ticker: 3000},
+		{name: "small+khugepaged", cfg: Config{MemoryBytes: 64 << 20, TLB: smallTLB, Cache: smallCache, Cost: cost.Fast(), Kernel: khuge}, sampleEvery: 3000},
 		{name: "heat-promoter", cfg: Config{MemoryBytes: 64 << 20, TLB: smallTLB, Cache: smallCache, Cost: cost.Fast(), Kernel: heat}},
 		{name: "stale-deadline", cfg: Config{MemoryBytes: 64 << 20, TLB: tlb.Haswell(), Cache: cache.Haswell(), Cost: cost.Fast(), Kernel: never}},
 		{name: "simulated-pt", cfg: Config{MemoryBytes: 64 << 20, TLB: smallTLB, Cache: smallCache, Cost: cost.Default(), Kernel: khuge, SimulatePageTables: true}},
@@ -68,6 +68,7 @@ type diffSnapshot struct {
 	Arrays []ArrayStats
 	TLB    tlb.Stats
 	Cache  cache.Stats
+	Supply []SupplySample
 	Heat   [][]uint64
 }
 
@@ -76,11 +77,9 @@ type diffSnapshot struct {
 func replayDiff(dc diffConfig, ops []diffOp, bulk bool) diffSnapshot {
 	m := New(dc.cfg)
 	m.SetBulk(bulk)
-	if dc.ticker != 0 {
-		m.AddTicker(dc.ticker, func(now uint64) {})
-	}
 	a := m.Space.Mmap("a", 6<<20)
 	b := m.Space.Mmap("b", 3<<20)
+	m.SampleSupply(dc.sampleEvery, a, b)
 	a.Madvise(0, 2<<20, vm.AdviceHuge)
 	b.Madvise(2<<20, 1<<20, vm.AdviceNoHuge)
 	m.RegisterArray(a)
@@ -110,6 +109,7 @@ func replayDiff(dc diffConfig, ops []diffOp, bulk bool) diffSnapshot {
 		Arrays: m.ArrayStats(),
 		TLB:    m.TLB.Stats(),
 		Cache:  m.Cache.Stats(),
+		Supply: m.Supply(),
 	}
 	for _, v := range vmas {
 		snap.Heat = append(snap.Heat, v.HeatCopy())

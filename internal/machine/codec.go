@@ -17,43 +17,69 @@ import (
 // bounds-checked, then the kernel (which binds to both), and finally
 // the per-shard simulation state. The shootdown callback is installed
 // last, exactly where Fork installs it.
-//
-// Machines carrying tickers or observers are not Forkable and not
-// serializable either — both guards fail the encoder rather than
-// silently dropping an actor.
 
-func encodeTranslation(e *ckpt.Encoder, tr vm.Translation) {
-	e.U32(uint32(tr.Frame))
-	e.U8(uint8(tr.Size))
-	e.U64(tr.BaseVA)
-	if tr.VMA != nil {
-		e.U64(tr.VMA.Base)
+// encodeVMARef writes a VMA reference as the VMA's base address
+// (0 = nil).
+func encodeVMARef(e *ckpt.Encoder, v *vm.VMA) {
+	if v != nil {
+		e.U64(v.Base)
 	} else {
 		e.U64(0)
 	}
 }
 
-// decodeTranslation resolves the VMA reference (encoded as the VMA's
-// base address, 0 = nil) against the already-decoded space.
+// decodeVMARef resolves a reference written by encodeVMARef against the
+// already-decoded space.
+func decodeVMARef(d *ckpt.Decoder, space *vm.AddressSpace) *vm.VMA {
+	vbase := d.U64()
+	if vbase == 0 || d.Err() != nil {
+		return nil
+	}
+	v := space.FindVMA(vbase)
+	if v == nil || v.Base != vbase {
+		d.Failf("machine: reference names no VMA at %#x", vbase)
+		return nil
+	}
+	return v
+}
+
+func encodeTranslation(e *ckpt.Encoder, tr vm.Translation) {
+	e.U32(uint32(tr.Frame))
+	e.U8(uint8(tr.Size))
+	e.U64(tr.BaseVA)
+	encodeVMARef(e, tr.VMA)
+}
+
 func decodeTranslation(d *ckpt.Decoder, space *vm.AddressSpace) vm.Translation {
 	var tr vm.Translation
 	tr.Frame = memsys.Frame(d.U32())
 	tr.Size = vm.PageSizeClass(d.U8())
 	tr.BaseVA = d.U64()
-	vbase := d.U64()
+	tr.VMA = decodeVMARef(d, space)
 	if tr.Size > vm.Page2M {
 		d.Failf("machine: translation page size class %d unknown", tr.Size)
-		return tr
-	}
-	if vbase != 0 {
-		v := space.FindVMA(vbase)
-		if v == nil || v.Base != vbase {
-			d.Failf("machine: cached translation names no VMA at %#x", vbase)
-			return tr
-		}
-		tr.VMA = v
 	}
 	return tr
+}
+
+func (s *supplySampler) encode(e *ckpt.Encoder) {
+	e.U64(s.every)
+	e.U64(s.last)
+	encodeVMARef(e, s.edge)
+	encodeVMARef(e, s.prop)
+	ckpt.EncodeSlice(e, s.samples)
+}
+
+func (s *supplySampler) decode(d *ckpt.Decoder, space *vm.AddressSpace) {
+	s.every = d.U64()
+	s.last = d.U64()
+	s.edge = decodeVMARef(d, space)
+	s.prop = decodeVMARef(d, space)
+	s.samples = ckpt.DecodeSlice[SupplySample](d)
+	// A running sampler reads both VMAs on every sample.
+	if s.every != 0 && (s.edge == nil || s.prop == nil) {
+		d.Failf("machine: supply sampler runs without its edge and property VMAs")
+	}
 }
 
 // checkTranslation fails the decoder unless a live cached translation
@@ -189,12 +215,7 @@ func (s *shardState) decode(d *ckpt.Decoder, space *vm.AddressSpace, total uint6
 // living outside the machine (workload structures); the machine's own
 // address space is tagged internally, mirroring Fork's remap split.
 func (m *Machine) Encode(e *ckpt.Encoder, owner func(*ckpt.Encoder, memsys.Owner)) {
-	if len(m.tickers) != 0 || len(m.observers) != 0 {
-		e.Failf("machine: %d tickers and %d observers registered: closure-captured actors cannot be serialized",
-			len(m.tickers), len(m.observers))
-		return
-	}
-	_ = m.ev // scratch buffer, refilled per notify
+	_ = m.tracer // an outside consumer; Decode yields an untraced machine
 	e.U64(m.cycles)
 	e.Bool(m.simPT)
 	e.Bool(m.noBulk)
@@ -211,6 +232,7 @@ func (m *Machine) Encode(e *ckpt.Encoder, owner func(*ckpt.Encoder, memsys.Owner
 		owner(e, o)
 	})
 	m.Kernel.Encode(e)
+	m.supply.encode(e)
 	m.shardState.encode(e)
 }
 
@@ -254,6 +276,7 @@ func (m *Machine) Decode(d *ckpt.Decoder, owner func(*ckpt.Decoder, *memsys.Memo
 	m.Space.CheckFrames(d)
 	m.Kernel = new(oskernel.Kernel)
 	m.Kernel.Decode(d, m.Mem, m.Space)
+	m.supply.decode(d, m.Space)
 	m.shardState.decode(d, m.Space, m.Mem.TotalPages())
 	if d.Err() != nil {
 		return
@@ -271,8 +294,6 @@ func (m *Machine) Decode(d *ckpt.Decoder, owner func(*ckpt.Decoder, *memsys.Memo
 		d.Failf("machine: page-table simulation flag disagrees with address space")
 		return
 	}
-	m.tickers = nil
-	m.observers = nil
-	m.ev = AccessEvent{}
+	m.tracer = nil // an outside consumer: a loaded machine starts untraced
 	m.Space.Shootdown = m.shootdown
 }

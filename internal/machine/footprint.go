@@ -30,11 +30,10 @@ func (m *Machine) Footprint() stats.Footprint {
 	core := uint64(unsafe.Sizeof(*m)) +
 		uint64(cap(m.done))*uint64(unsafe.Sizeof(PhaseStats{})) +
 		uint64(cap(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{})) +
-		uint64(cap(m.observers))*16 +
-		uint64(cap(m.tickers))*uint64(unsafe.Sizeof(ticker{}))
+		uint64(cap(m.supply.samples))*uint64(unsafe.Sizeof(SupplySample{}))
 	f.Add("machine", core, core)
 
-	// Frame owners outside the machine (memhog, page cache, churner)
+	// Frame owners outside the machine (memhog, page cache)
 	// report themselves. The address space and its VMAs do not
 	// implement FootprintReporter — their cost is already the vm rows
 	// above — so the type assertion skips them.

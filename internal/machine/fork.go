@@ -1,29 +1,18 @@
 package machine
 
 import (
-	"graphmem/internal/check"
 	"graphmem/internal/memsys"
 	"graphmem/internal/vm"
 )
 
-// Forkable reports whether the machine can be forked. Registered
-// tickers and observers are closures over state outside the machine (a
-// churning co-runner, a supply sampler, a tracer); a deep copy cannot
-// capture what they close over, so machines carrying them must be
-// re-run from scratch instead of forked. The campaign layer checks
-// this predicate and routes such cells down the monolithic path.
-func (m *Machine) Forkable() bool {
-	return len(m.tickers) == 0 && len(m.observers) == 0
-}
-
 // Fork returns an independent deep copy of the full machine state:
 // physical memory, address space, kernel policy engine, TLB and cache
 // hierarchies, the translation cache, cycle accounting, event
-// deadlines, and all phase/array statistics. From the fork point the
-// copy and the original evolve as two machines that happened to reach
-// the same state — identical access streams produce bit-identical
-// cycle counts and statistics on both, and neither can observe the
-// other.
+// deadlines, the supply sampler, and all phase/array statistics. From
+// the fork point the copy and the original evolve as two machines that
+// happened to reach the same state — identical access streams produce
+// bit-identical cycle counts and statistics on both, and neither can
+// observe the other.
 //
 // remapOwner translates frame owners that live OUTSIDE the machine
 // (workload structures such as a pinned memhog or a page cache,
@@ -34,12 +23,9 @@ func (m *Machine) Forkable() bool {
 // translate makes the underlying memsys clone panic: an unaccounted
 // owner means the snapshot would be incomplete.
 //
-// Fork panics on a machine that is not Forkable.
+// A fork starts untraced: a tracer is an outside consumer, not machine
+// state.
 func (m *Machine) Fork(remapOwner func(memsys.Owner, *memsys.Memory) memsys.Owner) *Machine {
-	if !m.Forkable() {
-		panic(check.Failf("machine: Fork with %d tickers and %d observers registered: closure-captured actors cannot be deep-copied",
-			len(m.tickers), len(m.observers)))
-	}
 	space := m.Space.Clone()
 	remap := func(o memsys.Owner, nm *memsys.Memory) memsys.Owner {
 		if o == memsys.Owner(m.Space) {
@@ -62,9 +48,8 @@ func (m *Machine) Fork(remapOwner func(memsys.Owner, *memsys.Memory) memsys.Owne
 		noBulk:     m.noBulk,
 		noGather:   m.noGather,
 		nextEvent:  m.nextEvent,
-		tickers:    nil,
-		observers:  nil,
-		ev:         AccessEvent{}, // scratch buffer, refilled per notify
+		supply:     m.supply.clone(space),
+		tracer:     nil,
 		shardState: m.shardState.clone(),
 	}
 	// Translation-cache entries carry *VMA pointers into the original

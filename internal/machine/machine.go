@@ -22,10 +22,10 @@
 //   - access_slow.go   everything rare: page faults, STLB probes, page
 //     walks, simulated-PTE fetches, TLB fills, scalar degradation loops.
 //   - events.go       the event layer: background actors (khugepaged,
-//     tickers) register cycle deadlines; the fast path pays a single
-//     compare per access and dispatches only when a deadline is due.
-//   - stats.go        phases, per-array attribution, and the observer
-//     spine (tracer and other composable per-access hooks).
+//     the supply sampler) keep cycle deadlines; the fast path pays a
+//     single compare per access and dispatches only when one is due.
+//   - stats.go        phases, per-array attribution, and the tracer
+//     hook.
 //
 // This file holds construction and the cross-cutting small pieces.
 package machine
@@ -110,14 +110,14 @@ type Machine struct {
 	noGather bool
 
 	// Event layer state (events.go): the earliest cycle at which any
-	// background actor is due. The fast path compares cycles against
-	// this once per access.
+	// background actor is due, and the supply sampler. The fast path
+	// compares cycles against nextEvent once per access.
 	nextEvent uint64
-	tickers   []ticker
+	supply    supplySampler
 
-	// Observer spine (stats.go). The fast path tests emptiness only.
-	observers []Observer
-	ev        AccessEvent // reused per-notify to keep dispatch alloc-free
+	// tracer receives every access when set (stats.go). The fast path
+	// tests it for nil only.
+	tracer Tracer
 
 	shardState
 }

@@ -1,9 +1,12 @@
 package machine
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"graphmem/internal/cache"
+	"graphmem/internal/ckpt"
 	"graphmem/internal/cost"
 	"graphmem/internal/memsys"
 	"graphmem/internal/oskernel"
@@ -337,16 +340,15 @@ func TestAccessFastPathZeroAllocs(t *testing.T) {
 }
 
 // TestTickerCadenceMatchesPerAccessScan replays the pre-event-layer
-// dispatch rule — scan every ticker after every access, fire when
-// now-last >= interval — and asserts the event layer fires at exactly
-// the same cycle counts.
+// dispatch rule for a periodic actor — check it after every access,
+// fire when now-last >= interval — and asserts the event layer's supply
+// sampler fires at exactly the same cycle counts.
 func TestTickerCadenceMatchesPerAccessScan(t *testing.T) {
 	m := newTestMachine(t, oskernel.BaselineConfig())
 	v := m.Space.Mmap("a", 4*memsys.HugeSize)
 
 	const interval = 1000
-	var fires []uint64
-	m.AddTicker(interval, func(now uint64) { fires = append(fires, now) })
+	m.SampleSupply(interval, v, v)
 
 	var want []uint64
 	var last uint64
@@ -361,25 +363,116 @@ func TestTickerCadenceMatchesPerAccessScan(t *testing.T) {
 			last = c
 		}
 	}
+	fires := m.Supply()
 	if len(fires) == 0 {
-		t.Fatal("ticker never fired")
+		t.Fatal("sampler never fired")
 	}
 	if len(fires) != len(want) {
-		t.Fatalf("ticker fired %d times, per-access scan would fire %d", len(fires), len(want))
+		t.Fatalf("sampler fired %d times, per-access scan would fire %d", len(fires), len(want))
 	}
 	for i := range fires {
-		if fires[i] != want[i] {
-			t.Fatalf("fire %d at cycle %d, per-access scan fires at %d", i, fires[i], want[i])
+		if fires[i].Cycles != want[i] {
+			t.Fatalf("fire %d at cycle %d, per-access scan fires at %d", i, fires[i].Cycles, want[i])
 		}
 	}
 
-	// A ticker registered mid-run must be armed immediately: its first
+	// A sampler enabled mid-run must be armed immediately: its first
 	// due deadline is already in the past, so the next access fires it.
-	var late []uint64
-	m.AddTicker(interval, func(now uint64) { late = append(late, now) })
+	m.SampleSupply(interval, v, v)
 	m.Access(v.Base)
-	if len(late) != 1 || late[0] != m.Cycles() {
-		t.Fatalf("mid-run ticker fires = %v, want one fire at %d", late, m.Cycles())
+	late := m.Supply()[len(fires):]
+	if len(late) != 1 || late[0].Cycles != m.Cycles() {
+		t.Fatalf("mid-run sampler fires = %v, want one fire at %d", late, m.Cycles())
+	}
+}
+
+// sampleTo accesses va on m until its supply sampler holds n samples.
+func sampleTo(t *testing.T, m *Machine, va uint64, n int) {
+	t.Helper()
+	for i := 0; len(m.Supply()) < n; i++ {
+		if i == 100_000 {
+			t.Fatalf("sampler stalled at %d of %d samples", len(m.Supply()), n)
+		}
+		m.Access(va)
+	}
+}
+
+// TestForkOwnsSupplySamples: a fork copies the supply sampler, samples
+// its own VMAs, and owns its samples. Parent and fork are driven apart
+// after the fork; a samples slice whose spare capacity both shared
+// would let the fork's append overwrite the parent's sample.
+func TestForkOwnsSupplySamples(t *testing.T) {
+	m := newTestMachine(t, oskernel.BaselineConfig())
+	v := m.Space.Mmap("a", 4*memsys.HugeSize)
+	m.SampleSupply(100, v, v)
+	sampleTo(t, m, v.Base, 3)
+	if s := m.supply.samples; cap(s) == len(s) {
+		t.Fatalf("precondition: samples need spare capacity at the fork (len %d, cap %d)", len(s), cap(s))
+	}
+
+	f := m.Fork(nil)
+	if fv := f.Space.FindVMA(v.Base); f.supply.edge != fv || f.supply.prop != fv {
+		t.Fatal("fork samples the parent's VMAs, not its own")
+	}
+	sampleTo(t, m, v.Base, 4)
+	want := m.Supply()[3]
+	f.AddCycles(1000) // past the next deadline: the fork samples at another cycle
+	sampleTo(t, f, v.Base, 4)
+	if f.Supply()[3] == want {
+		t.Fatal("fork and parent took the same fourth sample; the test cannot tell them apart")
+	}
+	if got := m.Supply()[3]; got != want {
+		t.Fatalf("parent's fourth sample changed to %+v after the fork sampled, want %+v", got, want)
+	}
+}
+
+// TestCodecCarriesSupplySampler saves a sampling machine right after a
+// sample, when khugepaged's next scan falls before the sampler's next
+// deadline, and requires the decoded machine to sample exactly as the
+// original does from there on: the interval, the last-sample cycle
+// (which decides whether the scan's dispatch also samples), the VMAs
+// and the samples taken all ride in the checkpoint.
+func TestCodecCarriesSupplySampler(t *testing.T) {
+	kcfg := oskernel.DefaultConfig()
+	kcfg.KhugepagedInterval = 1000
+	m := newTestMachine(t, kcfg)
+	edge := m.Space.Mmap("edge", 4*memsys.HugeSize)
+	prop := m.Space.Mmap("prop", 2*memsys.HugeSize)
+	m.SampleSupply(5000, edge, prop)
+	sampleTo(t, m, edge.Base, 3)
+
+	var buf bytes.Buffer
+	if _, err := ckpt.Save(&buf, "m", func(e *ckpt.Encoder) { m.Encode(e, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ckpt.Load(&buf, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := new(Machine)
+	loaded.Decode(d, nil)
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.supply.edge != loaded.Space.FindVMA(edge.Base) || loaded.supply.prop != loaded.Space.FindVMA(prop.Base) {
+		t.Fatal("decoded sampler does not sample the decoded VMAs")
+	}
+	for _, mc := range []*Machine{m, loaded} {
+		// Cheap hits first, so the scan's deadline passes on its own
+		// before the sampler's; then faults on fresh pages.
+		for i := 0; i < 2000; i++ {
+			mc.Access(edge.Base)
+		}
+		for off := uint64(0); off < 2*memsys.HugeSize; off += 4096 {
+			mc.Access(edge.Base + off)
+			mc.Access(prop.Base + off)
+		}
+	}
+	if len(m.Supply()) < 6 {
+		t.Fatalf("only %d samples after the save; the comparison needs several", len(m.Supply()))
+	}
+	if !reflect.DeepEqual(m.Supply(), loaded.Supply()) || m.Cycles() != loaded.Cycles() {
+		t.Fatalf("decoded machine sampled %+v, original %+v", loaded.Supply(), m.Supply())
 	}
 }
 

@@ -18,11 +18,9 @@ func replayShadowDiff(t *testing.T, dc diffConfig, ops []diffOp, shadow bool) di
 	if shadow {
 		m.Mem.EnableShadow()
 	}
-	if dc.ticker != 0 {
-		m.AddTicker(dc.ticker, func(now uint64) {})
-	}
 	a := m.Space.Mmap("a", 6<<20)
 	b := m.Space.Mmap("b", 3<<20)
+	m.SampleSupply(dc.sampleEvery, a, b)
 	a.Madvise(0, 2<<20, vm.AdviceHuge)
 	b.Madvise(2<<20, 1<<20, vm.AdviceNoHuge)
 	m.RegisterArray(a)
@@ -56,6 +54,7 @@ func replayShadowDiff(t *testing.T, dc diffConfig, ops []diffOp, shadow bool) di
 		Arrays: m.ArrayStats(),
 		TLB:    m.TLB.Stats(),
 		Cache:  m.Cache.Stats(),
+		Supply: m.Supply(),
 	}
 	for _, v := range vmas {
 		snap.Heat = append(snap.Heat, v.HeatCopy())

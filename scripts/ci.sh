@@ -33,7 +33,10 @@
 #                       checkpoint/fork layer disabled
 #                       (GRAPHMEM_NO_SNAPSHOT=1) must be byte-identical
 #                       to the forking run at -j 1 and -j 4, and forking
-#                       must cut the subset's wall-clock by >= 2x
+#                       must cut the subset's wall-clock by >= 2x; then
+#                       full-scale fig6 (supply-sampled cells) forking,
+#                       replaying, populating a -ckpt-dir store and
+#                       reloading from it must be byte-identical
 #  12. sharded-engine equivalence
 #                       the ext-shard campaign with fork bring-up
 #                       disabled (GRAPHMEM_NO_SHARD=1, every extra shard
@@ -167,6 +170,28 @@ if [ "$nosnap_elapsed" -lt $(( 2 * snap_elapsed )) ]; then
     echo "snapshot layer speedup below 2x (on=${snap_elapsed}s off=${nosnap_elapsed}s): forks are not amortizing the load phase" >&2
     exit 1
 fi
+# fig6's cells carry the supply sampler through their checkpoints. Its
+# bench-scale timeline is degenerate (one free 2 MB block, all-zero
+# columns), so these runs use the full scale, where the supply drains
+# during init and the sampled state actually moves.
+mkdir -p "$tmp/csvf6" "$tmp/csvf6ns" "$tmp/csvf6c0" "$tmp/csvf6c1"
+"$tmp/expdriver" -scale full -exp fig6 -j 1 \
+    -out "$tmp/outf6.md" -csv "$tmp/csvf6" > "$tmp/stdoutf6.txt"
+GRAPHMEM_NO_SNAPSHOT=1 "$tmp/expdriver" -scale full -exp fig6 -j 1 \
+    -out "$tmp/outf6ns.md" -csv "$tmp/csvf6ns" > "$tmp/stdoutf6ns.txt"
+"$tmp/expdriver" -scale full -exp fig6 -j 1 -ckpt-dir "$tmp/f6store" \
+    -out "$tmp/outf6c0.md" -csv "$tmp/csvf6c0" > "$tmp/stdoutf6c0.txt"
+if [ -z "$(ls "$tmp/f6store"/*.ckpt 2>/dev/null)" ]; then
+    echo "fig6 checkpoint store is empty after a populating run" >&2
+    exit 1
+fi
+"$tmp/expdriver" -scale full -exp fig6 -j 1 -ckpt-dir "$tmp/f6store" \
+    -out "$tmp/outf6c1.md" -csv "$tmp/csvf6c1" > "$tmp/stdoutf6c1.txt"
+for v in f6ns f6c0 f6c1; do
+    diff "$tmp/stdoutf6.txt" "$tmp/stdout$v.txt"
+    diff "$tmp/outf6.md" "$tmp/out$v.md"
+    diff -r "$tmp/csvf6" "$tmp/csv$v"
+done
 
 echo "== sharded-engine equivalence: GRAPHMEM_NO_SHARD=1 vs fork bring-up"
 # ext-shard is the sharded-engine experiment: every cell runs its kernel
