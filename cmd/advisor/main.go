@@ -30,6 +30,7 @@ func main() {
 	budgetMB := flag.Int("budget-mb", 0, "huge page budget in MB (2MB granularity)")
 	coverage := flag.Float64("coverage", 0, "alternatively: target access coverage (0,1]")
 	flag.Parse()
+	cli.NoArgs(flag.CommandLine)
 
 	a, err := cli.ParseApp(*app)
 	if err != nil {

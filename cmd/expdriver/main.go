@@ -48,6 +48,7 @@ import (
 	"strings"
 	"time"
 
+	"graphmem/internal/cli"
 	"graphmem/internal/exp"
 	"graphmem/internal/gen"
 )
@@ -67,6 +68,16 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
+	cli.NoArgs(flag.CommandLine)
+	for _, c := range []struct {
+		name   string
+		v, min int
+	}{{"j", *workers, 0}, {"shards", *shardWorkers, 0}, {"pr-iters", *priters, 1}} {
+		if err := cli.CheckAtLeast(c.name, c.v, c.min); err != nil {
+			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -57,6 +57,7 @@ func cmdGen(args []string) error {
 	weighted := fs.Bool("weighted", false, "generate edge weights (needed for SSSP)")
 	out := fs.String("o", "", "output file")
 	_ = fs.Parse(args)
+	cli.NoArgs(fs)
 	if *out == "" {
 		return fmt.Errorf("gen: -o is required")
 	}

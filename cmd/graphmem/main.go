@@ -34,6 +34,7 @@ func main() {
 	aged := flag.Float64("aged", core.AgedFractionDefault, "ambient non-movable poison fraction when pressured, in [0,1)")
 	prIters := flag.Int("pr-iters", 5, "PageRank iteration cap")
 	flag.Parse()
+	cli.NoArgs(flag.CommandLine)
 
 	spec, err := buildSpec(*app, *dataset, *file, *scale, *policy, *sel, *method, *order,
 		*pressureGB, *frag, *aged, *prIters)

@@ -60,6 +60,7 @@ func cmdRecord(args []string) error {
 	scale := fs.String("scale", "test", "scale (traces grow large: test/bench recommended)")
 	out := fs.String("o", "", "output trace file")
 	_ = fs.Parse(args)
+	cli.NoArgs(fs)
 	if *out == "" {
 		return errors.New("record: -o is required")
 	}

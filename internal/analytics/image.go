@@ -128,7 +128,7 @@ type Image struct {
 	// gbuf is the reusable gather buffer: kernels collect one vertex's
 	// irregular neighbor/property addresses into it, in exact scalar
 	// access order, and issue them as a single machine.AccessGather
-	// batch (DESIGN.md §4e). Reused across vertices, so it allocates
+	// batch (DESIGN.md §4c). Reused across vertices, so it allocates
 	// only while growing toward the maximum per-vertex batch size.
 	gbuf []uint64
 }

@@ -51,7 +51,7 @@ import (
 // which is what invalidates every stale store entry at once (content
 // addressing handles spec changes; the version handles format
 // changes).
-const Version = 3
+const Version = 4
 
 var magic = [8]byte{'G', 'M', 'C', 'K', 'P', 'T', '0', '\n'}
 

@@ -1,6 +1,7 @@
 // Package cli holds the small parsing helpers shared by the command-line
 // tools: resolving dataset / scale / app / policy / reorder names to
-// library values, with uniform error messages.
+// library values, and rejecting malformed command lines, with uniform
+// error messages.
 //
 // It sits outside the simulation path — parsing happens once per
 // process, before any machine is built — so it carries none of the
@@ -9,8 +10,10 @@
 package cli
 
 import (
+	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"graphmem/internal/analytics"
 	"graphmem/internal/core"
@@ -123,6 +126,30 @@ func CheckFraction(flag string, v float64, oneAllowed bool) error {
 		return fmt.Errorf("-%s %v out of [0,1]", flag, v)
 	}
 	return fmt.Errorf("-%s %v out of [0,1)", flag, v)
+}
+
+// CheckAtLeast returns an error unless v >= min; name is the option
+// the message reports.
+func CheckAtLeast(name string, v, min int) error {
+	if v >= min {
+		return nil
+	}
+	return fmt.Errorf("-%s %d below %d", name, v, min)
+}
+
+// NoArgs rejects positional arguments left over after fs was parsed.
+// The flag package stops parsing at the first non-flag argument, so
+// without this check "expdriver fig5 -scale bench" would ignore fig5
+// and every flag after it. NoArgs prints the first stray argument and
+// fs's usage, then exits with status 2.
+func NoArgs(fs *flag.FlagSet) {
+	if fs.NArg() == 0 {
+		return
+	}
+	fmt.Fprintf(fs.Output(), "%s: unexpected argument %q (this command takes only flags)\n",
+		filepath.Base(fs.Name()), fs.Arg(0))
+	fs.Usage()
+	os.Exit(2)
 }
 
 // LoadGraph loads a GMG1 or edge-list file (by extension: .txt/.el =

@@ -1,9 +1,13 @@
 package cli
 
 import (
+	"errors"
+	"flag"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphmem/internal/analytics"
@@ -137,6 +141,68 @@ func TestCheckFraction(t *testing.T) {
 		err := CheckFraction("x", tc.v, tc.oneAllowed)
 		if (err == nil) != tc.ok {
 			t.Errorf("CheckFraction(%v, oneAllowed=%v) error = %v, want ok=%v", tc.v, tc.oneAllowed, err, tc.ok)
+		}
+	}
+}
+
+// TestCheckAtLeast covers the count-flag bound expdriver applies to -j,
+// -shards (both >= 0) and -pr-iters (>= 1).
+func TestCheckAtLeast(t *testing.T) {
+	for _, tc := range []struct {
+		v, min int
+		ok     bool
+	}{
+		{0, 0, true},
+		{4, 0, true},
+		{-1, 0, false},
+		{1, 1, true},
+		{0, 1, false},
+		{-3, 1, false},
+	} {
+		err := CheckAtLeast("x", tc.v, tc.min)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckAtLeast(%d, min=%d) error = %v, want ok=%v", tc.v, tc.min, err, tc.ok)
+		}
+	}
+	if err := CheckAtLeast("pr-iters", 0, 1); err == nil || !strings.Contains(err.Error(), "-pr-iters") {
+		t.Errorf("CheckAtLeast error %v does not name the flag", err)
+	}
+}
+
+// TestNoArgs: a command line with only flags passes through NoArgs; a
+// stray positional argument (the flag package stops parsing there, so
+// "expdriver fig5 -scale bench" would drop -scale) ends the process
+// with status 2, naming the argument and printing the usage. NoArgs
+// exits, so that case runs in a child copy of the test binary.
+func TestNoArgs(t *testing.T) {
+	newFlags := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("expdriver", flag.ContinueOnError)
+		fs.String("scale", "full", "dataset scale")
+		return fs
+	}
+	if os.Getenv("CLI_TEST_NOARGS_CHILD") != "" {
+		fs := newFlags()
+		_ = fs.Parse([]string{"fig5", "-scale", "bench"})
+		NoArgs(fs)
+		os.Exit(0) // reached only if NoArgs let the stray argument through
+	}
+
+	fs := newFlags()
+	if err := fs.Parse([]string{"-scale", "bench"}); err != nil {
+		t.Fatal(err)
+	}
+	NoArgs(fs)
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNoArgs$")
+	cmd.Env = append(os.Environ(), "CLI_TEST_NOARGS_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("stray argument: got %v, want exit status 2; output:\n%s", err, out)
+	}
+	for _, want := range []string{`unexpected argument "fig5"`, "-scale"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("stray-argument output lacks %q:\n%s", want, out)
 		}
 	}
 }

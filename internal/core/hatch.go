@@ -7,34 +7,27 @@ import (
 )
 
 // Hatch names one of the byte-identity escape hatches: subsystems whose
-// optimized path is observationally invisible by construction (bulk and
-// gather access charging, checkpoint forking, the sharded machine
-// engine) each carry a GRAPHMEM_NO_<hatch>=1 environment variable that
-// forces the reference path instead. CI diffs campaign output with each
-// hatch open against the optimized run byte for byte (scripts/ci.sh
-// steps 9–12) — the hatches exist only to prove equivalence.
+// optimized path is observationally invisible by construction (batched
+// access charging, checkpoint forking) each carry a GRAPHMEM_NO_<hatch>=1
+// environment variable that forces the reference path instead. CI diffs
+// campaign output with each hatch open against the optimized run byte
+// for byte (scripts/ci.sh steps 9–11) — the hatches exist only to prove
+// equivalence.
 type Hatch string
 
 const (
-	// HatchBulk gates machine.AccessRun's coalesced charging
-	// (GRAPHMEM_NO_BULK): open, every run degrades to per-access
-	// dispatch.
-	HatchBulk Hatch = "BULK"
-	// HatchGather gates machine.AccessGather's batched charging
-	// (GRAPHMEM_NO_GATHER): open, every batch degrades to per-access
-	// dispatch.
-	HatchGather Hatch = "GATHER"
+	// HatchBatch gates the batch engine behind machine.AccessRun and
+	// machine.AccessGather (GRAPHMEM_NO_BATCH): open, every run and
+	// gather degrades to per-access dispatch.
+	HatchBatch Hatch = "BATCH"
 	// HatchSnapshot gates the checkpoint/fork layer (GRAPHMEM_NO_SNAPSHOT):
-	// open, every fork replays its load phase monolithically.
+	// open, every fork replays its load phase monolithically, and so
+	// does every extra shard of a sharded run.
 	HatchSnapshot Hatch = "SNAPSHOT"
-	// HatchShard gates the sharded machine engine's fork-based shard
-	// bring-up (GRAPHMEM_NO_SHARD): open, every shard machine replays
-	// the load phase from the spec instead of forking the prepared one.
-	HatchShard Hatch = "SHARD"
 )
 
 // AllHatches lists the escape hatches, in subsystem order.
-var AllHatches = []Hatch{HatchBulk, HatchGather, HatchSnapshot, HatchShard}
+var AllHatches = []Hatch{HatchBatch, HatchSnapshot}
 
 // HatchDisabled reports whether the hatch's environment variable
 // (GRAPHMEM_NO_<hatch>) is set non-empty — the optimized path is then
@@ -44,10 +37,9 @@ func HatchDisabled(h Hatch) bool {
 	return os.Getenv("GRAPHMEM_NO_"+string(h)) != ""
 }
 
-// applyAccessHatches routes the machine's access engines through the
-// bulk and gather hatches. machine.New enables both by default; the
-// hatch check lives here so every env read shares one helper.
+// applyAccessHatches routes the machine's batch engine through the
+// batch hatch. machine.New enables it by default; the hatch check lives
+// here so every env read shares one helper.
 func applyAccessHatches(m *machine.Machine) {
-	m.SetBulk(!HatchDisabled(HatchBulk))
-	m.SetGather(!HatchDisabled(HatchGather))
+	m.SetBatch(!HatchDisabled(HatchBatch))
 }

@@ -39,11 +39,15 @@ func TestHatchDisabled(t *testing.T) {
 
 // TestHatchIndependence: opening one hatch must not open any other.
 func TestHatchIndependence(t *testing.T) {
-	t.Setenv("GRAPHMEM_NO_SHARD", "1")
 	for _, h := range AllHatches {
-		if h != HatchShard && HatchDisabled(h) {
-			t.Fatalf("GRAPHMEM_NO_SHARD leaked into hatch %s", h)
-		}
+		t.Run(string(h), func(t *testing.T) {
+			t.Setenv("GRAPHMEM_NO_"+string(h), "1")
+			for _, o := range AllHatches {
+				if o != h && HatchDisabled(o) {
+					t.Fatalf("GRAPHMEM_NO_%s leaked into hatch %s", h, o)
+				}
+			}
+		})
 	}
 	t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 	if !SnapshotsDisabled() {

@@ -111,6 +111,70 @@ func TestSaveLoadDefaultNodeMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestBatchFlagIsNotCheckpointState: the GRAPHMEM_NO_BATCH hatch is
+// per-process configuration, not machine state. A checkpoint saved with
+// the hatch open and one saved with it closed are the same bytes; loaded
+// by a process with the opposite setting, the machine follows the
+// loading process, and the run still equals core.Run.
+func TestBatchFlagIsNotCheckpointState(t *testing.T) {
+	spec := persistSpec(t, core.THPAlways())
+	const key = "persist:batch-flag"
+	ref, err := core.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setBatch := func(t *testing.T, batch bool) {
+		if batch {
+			t.Setenv("GRAPHMEM_NO_BATCH", "")
+		} else {
+			t.Setenv("GRAPHMEM_NO_BATCH", "1")
+		}
+	}
+	var images [][]byte
+	for _, saveBatch := range []bool{false, true} {
+		name := "saved-batching"
+		if !saveBatch {
+			name = "saved-scalar"
+		}
+		t.Run(name, func(t *testing.T) {
+			setBatch(t, saveBatch)
+			cp, err := core.Prepare(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := cp.Save(&buf, key); err != nil {
+				t.Fatal(err)
+			}
+			images = append(images, buf.Bytes())
+
+			setBatch(t, !saveBatch)
+			lcp, err := core.LoadCheckpoint(spec, key, bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, _, err := lcp.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Batching() == saveBatch {
+				t.Fatalf("loaded machine batches=%v, want %v: the loading process's GRAPHMEM_NO_BATCH must decide", m.Batching(), !saveBatch)
+			}
+			got, err := lcp.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("loaded run diverged from core.Run:\n--- Run ---\n%s--- loaded ---\n%s",
+					formatResult(ref), formatResult(got))
+			}
+		})
+	}
+	if len(images) == 2 && !bytes.Equal(images[0], images[1]) {
+		t.Fatal("the batch hatch changed the saved checkpoint bytes")
+	}
+}
+
 // savedImage builds one saved checkpoint container (and its spec/key)
 // once for the corruption tests and the fuzzer.
 var savedImage struct {

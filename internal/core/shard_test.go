@@ -52,10 +52,11 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedForkMatchesReplay is the GRAPHMEM_NO_SHARD equivalence:
-// fork-based shard bring-up must be byte-identical to bringing every
-// shard up by replaying the load phase from the spec — the property
-// ci.sh step 12 verifies on a whole campaign. The Checkpoint path must
+// TestShardedForkMatchesReplay is the sharded half of the
+// GRAPHMEM_NO_SNAPSHOT equivalence: fork-based shard bring-up must be
+// byte-identical to bringing every shard up by replaying the load phase
+// from the spec — the property ci.sh step 11 verifies on a whole
+// campaign. The Checkpoint path must
 // agree too (the campaign layer runs sharded cells through it).
 func TestShardedForkMatchesReplay(t *testing.T) {
 	for _, app := range []analytics.App{analytics.BFS, analytics.PR} {
@@ -79,7 +80,7 @@ func TestShardedForkMatchesReplay(t *testing.T) {
 					formatResult(ref), formatResult(got))
 			}
 
-			t.Setenv("GRAPHMEM_NO_SHARD", "1")
+			t.Setenv("GRAPHMEM_NO_SNAPSHOT", "1")
 			got, err = core.Run(spec)
 			if err != nil {
 				t.Fatal(err)

@@ -20,8 +20,7 @@ import (
 // monolithic Run path. The GRAPHMEM_NO_SNAPSHOT escape hatch proves
 // it: with the variable set, Fork replays the load phase monolithically
 // and CI diffs the two campaign outputs byte for byte (scripts/ci.sh),
-// exactly as GRAPHMEM_NO_BULK and GRAPHMEM_NO_GATHER gate the access
-// engines.
+// exactly as GRAPHMEM_NO_BATCH gates the access engine's batching.
 
 // SnapshotsDisabled reports whether the GRAPHMEM_NO_SNAPSHOT escape
 // hatch is open (HatchDisabled): checkpoints then hold no machine and

@@ -189,7 +189,7 @@ func TestCheckpointStoreRejectsStaleVersion(t *testing.T) {
 // loaded checkpoint's forks must produce the staged forks' results.
 // Wall-clock assertions are meaningless under -race or on a loaded
 // host, so the gate runs only when GRAPHMEM_CKPT_GATE is set; ci.sh
-// step 15 and bench.sh opt in, and bench.sh records the parseable
+// step 14 and bench.sh opt in, and bench.sh records the parseable
 // ckpt_reload line (cmd/benchjson keys).
 func TestCkptReloadSpeedup(t *testing.T) {
 	if os.Getenv("GRAPHMEM_CKPT_GATE") == "" {

@@ -29,7 +29,7 @@ import (
 // checkpoint cache with the persistent store there, so repeated gate
 // runs (CI repetitions, bench.sh after ci.sh) reload the staged nodes
 // from disk instead of re-faulting 100 GB+ of state per node — ci.sh
-// step 14 points both repetitions at one store directory.
+// step 13 points both repetitions at one store directory.
 func TestFullscaleGeometryGate(t *testing.T) {
 	if os.Getenv("GRAPHMEM_FULLSCALE") == "" {
 		t.Skip("set GRAPHMEM_FULLSCALE=1 to run the paper-geometry gate (ci.sh)")

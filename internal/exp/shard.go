@@ -20,14 +20,14 @@ import (
 //
 // Every ext-shard cell is sharded; the experiment deliberately has no
 // monolithic comparator cells, so the ci.sh shard-equivalence campaign
-// (step 12) measures fork-vs-replay bring-up undiluted.
+// (step 11) measures fork-vs-replay bring-up undiluted.
 
 // extShards is the shard count the ext-shard experiment models.
 // Sixteen is large enough that partition balance and barrier overlap
 // are non-trivial on every dataset, and it makes shard bring-up a
-// first-order cost: the NO_SHARD reference replays the load phase per
+// first-order cost: the GRAPHMEM_NO_SNAPSHOT reference replays the load phase per
 // shard where the engine forks it, which is exactly the margin the
-// ci.sh step-12 speedup gate measures.
+// ci.sh step-11 speedup gate measures.
 const extShards = 16
 
 // shardNodeBytes is the modeled node memory of the ext-shard cells.

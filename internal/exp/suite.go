@@ -241,7 +241,7 @@ func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
 // machine config, load phase) pay for init once instead of N times.
 // With GRAPHMEM_NO_SNAPSHOT set every cell replays its load phase
 // instead, which is exactly the equivalence CI's byte-diff gate checks
-// (scripts/ci.sh step 11).
+// (scripts/ci.sh step 10).
 func (s *Suite) run(c runCfg) *core.RunResult {
 	if s.onRun != nil {
 		s.onRun(c)

@@ -12,11 +12,11 @@ import (
 	"graphmem/internal/vm"
 )
 
-// The gather engine's contract mirrors the bulk engine's: AccessGather
-// must leave the machine in exactly the state len(vas) scalar Access
-// calls would. SetGather(false) routes AccessGather through the scalar
-// loop, so a differential run is the same op script replayed on two
-// machines that differ only in that switch. The configs, VMA layout,
+// AccessGather's contract mirrors AccessRun's: it must leave the machine
+// in exactly the state len(vas) scalar Access calls would.
+// SetBatch(false) routes both entry points through the scalar loop, so a
+// differential run is the same op script replayed on two machines that
+// differ only in that switch. The configs, VMA layout,
 // and snapshot are shared with access_run_test.go.
 
 // gatherRef is one collected address: a VMA index plus a byte offset
@@ -27,8 +27,8 @@ type gatherRef struct {
 }
 
 // gatherOp is one scripted step: either an AccessGather batch (refs) or
-// an interleaved AccessRun (run) so the two batching engines are
-// exercised against each other's translation-cache and TLB state.
+// an interleaved AccessRun (run) so the two entry points are exercised
+// against each other's translation-cache and TLB state.
 type gatherOp struct {
 	phase  bool
 	run    bool
@@ -40,11 +40,11 @@ type gatherOp struct {
 }
 
 // replayGatherDiff builds a machine for dc, maps the shared two-array
-// layout, runs the script, and snapshots the final state. gather
+// layout, runs the script, and snapshots the final state. batch
 // selects the engine under test.
-func replayGatherDiff(dc diffConfig, ops []gatherOp, gather bool) diffSnapshot {
+func replayGatherDiff(dc diffConfig, ops []gatherOp, batch bool) diffSnapshot {
 	m := New(dc.cfg)
-	m.SetGather(gather)
+	m.SetBatch(batch)
 	a := m.Space.Mmap("a", 6<<20)
 	b := m.Space.Mmap("b", 3<<20)
 	m.SampleSupply(dc.sampleEvery, a, b)

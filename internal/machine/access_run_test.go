@@ -12,9 +12,9 @@ import (
 	"graphmem/internal/vm"
 )
 
-// The bulk engine's contract is arithmetic identity: AccessRun(va, n, s)
+// The batch engine's contract is arithmetic identity: AccessRun(va, n, s)
 // must leave the machine in exactly the state n scalar Access calls
-// would. SetBulk(false) routes AccessRun through the scalar loop, so a
+// would. SetBatch(false) routes AccessRun through the scalar loop, so a
 // differential run is the same op script replayed on two machines that
 // differ only in that switch.
 
@@ -73,10 +73,10 @@ type diffSnapshot struct {
 }
 
 // replayDiff builds a machine for dc, maps two arrays, runs the script,
-// and snapshots the final state. bulk selects the engine under test.
-func replayDiff(dc diffConfig, ops []diffOp, bulk bool) diffSnapshot {
+// and snapshots the final state. batch selects the engine under test.
+func replayDiff(dc diffConfig, ops []diffOp, batch bool) diffSnapshot {
 	m := New(dc.cfg)
-	m.SetBulk(bulk)
+	m.SetBatch(batch)
 	a := m.Space.Mmap("a", 6<<20)
 	b := m.Space.Mmap("b", 3<<20)
 	m.SampleSupply(dc.sampleEvery, a, b)
@@ -119,7 +119,8 @@ func replayDiff(dc diffConfig, ops []diffOp, bulk bool) diffSnapshot {
 
 // diffStrides samples the stream shapes the kernels issue (4B edges, 8B
 // offsets, 16/24B properties, 64B lines) plus shapes that stress the
-// splitting logic: sub-line, line-crossing, page-crossing, and stride 0.
+// splitting logic: sub-line, line-crossing, page-crossing, and stride 0
+// (one line for the whole run).
 var diffStrides = []uint64{0, 1, 3, 4, 8, 16, 24, 64, 72, 256, 4096, 4096 + 64, 2 << 20}
 
 func randomOps(rng *rand.Rand, n int) []diffOp {

@@ -60,14 +60,15 @@ func (m *Machine) refillTranslation(va uint64) uint64 {
 	return fc
 }
 
-// accessEach dispatches every address of a gather batch through the
-// scalar Access path — AccessGather's degradation loop. It lives in this
-// untagged file because looping scalar Access over a collected VA slice
-// is exactly what rule SL009 forbids in fastpath-tagged files; here it
-// is the deliberate fallback, not a missed batching opportunity.
-func (m *Machine) accessEach(vas []uint64) {
-	for _, va := range vas {
-		m.Access(va)
+// accessScalar dispatches accesses 0 … n−1 of s one by one through the
+// scalar Access path — the batch engine's degradation loop. It lives in
+// this untagged file because a scalar Access loop over a batch's
+// addresses is exactly what rules SL008 and SL009 forbid in
+// fastpath-tagged files; here it is the deliberate fallback, not a
+// missed batching opportunity.
+func accessScalar[S addrSeq](m *Machine, s S, n int) {
+	for i := 0; i < n; i++ {
+		m.Access(s.at(i))
 	}
 }
 

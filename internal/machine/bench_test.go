@@ -106,9 +106,9 @@ func gatherBenchVAs(base uint64) []uint64 {
 // benchGather replays the gather-shaped stream in batches the size a
 // hub vertex's neighbor list produces. ns/op is per simulated access,
 // directly comparable to BenchmarkAccess.
-func benchGather(b *testing.B, gather bool) {
+func benchGather(b *testing.B, batched bool) {
 	m, base := benchMachine(b, 8<<20)
-	m.SetGather(gather)
+	m.SetBatch(batched)
 	vas := gatherBenchVAs(base)
 	const batch = 4096
 	b.ReportAllocs()
@@ -133,7 +133,7 @@ func benchGather(b *testing.B, gather bool) {
 // 0 allocs/op; scripts/bench.sh records it as ns_per_access_gather.
 func BenchmarkAccessGather(b *testing.B) { benchGather(b, true) }
 
-// BenchmarkAccessGatherScalar is the same stream with the gather engine
+// BenchmarkAccessGatherScalar is the same stream with the batch engine
 // disabled — the per-access dispatch baseline the speedup is measured
 // against.
 func BenchmarkAccessGatherScalar(b *testing.B) { benchGather(b, false) }

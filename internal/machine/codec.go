@@ -215,11 +215,10 @@ func (s *shardState) decode(d *ckpt.Decoder, space *vm.AddressSpace, total uint6
 // living outside the machine (workload structures); the machine's own
 // address space is tagged internally, mirroring Fork's remap split.
 func (m *Machine) Encode(e *ckpt.Encoder, owner func(*ckpt.Encoder, memsys.Owner)) {
-	_ = m.tracer // an outside consumer; Decode yields an untraced machine
+	_ = m.tracer  // an outside consumer; Decode yields an untraced machine
+	_ = m.noBatch // per-process configuration; LoadCheckpoint re-applies the hatch
 	e.U64(m.cycles)
 	e.Bool(m.simPT)
-	e.Bool(m.noBulk)
-	e.Bool(m.noGather)
 	e.U64(m.nextEvent)
 	m.Model.Encode(e)
 	m.Space.Encode(e)
@@ -246,10 +245,9 @@ const (
 // external frame owners against the node under construction. On any
 // decoder error the receiver must be discarded.
 func (m *Machine) Decode(d *ckpt.Decoder, owner func(*ckpt.Decoder, *memsys.Memory) memsys.Owner) {
+	_ = m.noBatch // per-process configuration; LoadCheckpoint re-applies the hatch
 	m.cycles = d.U64()
 	m.simPT = d.Bool()
-	m.noBulk = d.Bool()
-	m.noGather = d.Bool()
 	m.nextEvent = d.U64()
 	m.Model.Decode(d)
 	m.Space = new(vm.AddressSpace)

@@ -45,8 +45,7 @@ func (m *Machine) Fork(remapOwner func(memsys.Owner, *memsys.Memory) memsys.Owne
 		Model:      m.Model,
 		cycles:     m.cycles,
 		simPT:      m.simPT,
-		noBulk:     m.noBulk,
-		noGather:   m.noGather,
+		noBatch:    m.noBatch,
 		nextEvent:  m.nextEvent,
 		supply:     m.supply.clone(space),
 		tracer:     nil,

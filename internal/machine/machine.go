@@ -8,19 +8,18 @@
 // configurations are ratios of these counters over identical access
 // streams.
 //
-// The access engine is staged across six files (DESIGN.md §4):
+// The access engine is staged across five files (DESIGN.md §4):
 //
-//   - access.go        the branch-lean fast path: one translation-cache
+//   - access.go       the branch-lean fast path: one translation-cache
 //     compare, TLB probe, data-cache probe, and inlined allocation-free
 //     accounting. Tagged //simlint:fastpath (rule SL007).
-//   - access_run.go    the bulk path: AccessRun coalesces sequential
-//     streams into page segments and line batches with aggregated,
+//   - access_batch.go the batch engine: AccessRun (constant-stride
+//     streams) and AccessGather (irregular address slices) share one
+//     loop that coalesces same-page and same-line runs with aggregated,
 //     scalar-identical accounting. Tagged //simlint:fastpath.
-//   - access_gather.go the gather path: AccessGather batches irregular
-//     (data-dependent) address vectors, exploiting same-page and
-//     same-line runs inside a batch. Tagged //simlint:fastpath.
-//   - access_slow.go   everything rare: page faults, STLB probes, page
-//     walks, simulated-PTE fetches, TLB fills, scalar degradation loops.
+//   - access_slow.go  everything rare: page faults, STLB probes, page
+//     walks, simulated-PTE fetches, TLB fills, the scalar degradation
+//     loop.
 //   - events.go       the event layer: background actors (khugepaged,
 //     the supply sampler) keep cycle deadlines; the fast path pays a
 //     single compare per access and dispatches only when one is due.
@@ -98,16 +97,13 @@ type Machine struct {
 	cycles uint64
 	simPT  bool
 
-	// noBulk forces AccessRun onto the per-access path (access_run.go).
-	// Bulk charging is cycle-identical by construction, so this exists
-	// only to prove it: the CI gate diffs a campaign run both ways. Set
-	// by SetBulk (core opens it via the GRAPHMEM_NO_BULK hatch).
-	noBulk bool
-
-	// noGather forces AccessGather onto the per-access path
-	// (access_gather.go). Like noBulk it exists to prove equivalence:
-	// set by SetGather (core opens it via the GRAPHMEM_NO_GATHER hatch).
-	noGather bool
+	// noBatch forces AccessRun and AccessGather onto the per-access
+	// path (access_batch.go). Batch charging is cycle-identical by
+	// construction, so this exists only to prove it: the CI gate diffs
+	// a campaign run both ways. Set by SetBatch (core opens it via the
+	// GRAPHMEM_NO_BATCH hatch). It is per-process configuration, not
+	// machine state: checkpoints do not carry it.
+	noBatch bool
 
 	// Event layer state (events.go): the earliest cycle at which any
 	// background actor is due, and the supply sampler. The fast path
@@ -170,17 +166,14 @@ func (m *Machine) AddCycles(c uint64) {
 	m.phase.Cycles += c
 }
 
-// SetBulk enables or disables the bulk access engine (AccessRun's
-// coalesced path). Disabling is observationally invisible — bulk
-// charging is cycle-identical to per-access dispatch — and exists for
-// the equivalence gate in CI and for differential tests.
-func (m *Machine) SetBulk(enabled bool) { m.noBulk = !enabled }
+// SetBatch enables or disables the batch engine behind AccessRun and
+// AccessGather. Disabling is observationally invisible — batch charging
+// is cycle-identical to per-access dispatch — and exists for the
+// equivalence gate in CI and for differential tests.
+func (m *Machine) SetBatch(enabled bool) { m.noBatch = !enabled }
 
-// SetGather enables or disables the gather access engine (AccessGather's
-// batched path). Like SetBulk, disabling is observationally invisible —
-// gather charging is cycle-identical to per-access dispatch — and exists
-// for the equivalence gate in CI and for differential tests.
-func (m *Machine) SetGather(enabled bool) { m.noGather = !enabled }
+// Batching reports whether the batch engine is enabled (SetBatch).
+func (m *Machine) Batching() bool { return !m.noBatch }
 
 // Touch faults in (and accesses) every page of the byte range
 // [va, va+bytes), in ascending order — the simulator's equivalent of an

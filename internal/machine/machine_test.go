@@ -497,7 +497,7 @@ func TestTranslationCacheInvalidatedOnUnmap(t *testing.T) {
 // regression to the widened cache: after seeding the primary entry and
 // every victim entry with distinct pages, a single mapping change must
 // drop them all — a survivor in any way would be a silent stale-frame
-// bug the gather engine could hit on its next segment.
+// bug the batch engine could hit on its next segment.
 func TestWideTranslationCacheInvalidatedOnShootdown(t *testing.T) {
 	m := newTestMachine(t, oskernel.BaselineConfig())
 	v := m.Space.Mmap("a", (trCacheWays+2)*memsys.PageSize)

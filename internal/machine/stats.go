@@ -159,9 +159,9 @@ func (m *Machine) accountArray(v *vm.VMA, res tlb.Result) {
 type Tracer interface{ Trace(va uint64, tag uint8) }
 
 // SetTracer installs t as the machine's tracer (replacing any previous
-// one); nil detaches. Attach and detach between access calls: the bulk
-// and gather engines decide once per call whether to dispatch per
-// access for the tracer.
+// one); nil detaches. Attach and detach between access calls: the batch
+// engine decides once per AccessRun or AccessGather call whether to
+// dispatch per access for the tracer.
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
 // trace hands one access to the tracer. Kept out of the fast path body

@@ -21,7 +21,7 @@ import (
 func TestTracerAttachMidBulkRun(t *testing.T) {
 	const half = 1 << 18 // accesses per call: the attach lands mid-page
 
-	run := func(bulk bool) ([]trace.Event, uint64) {
+	run := func(batch bool) ([]trace.Event, uint64) {
 		m := machine.New(machine.Config{
 			MemoryBytes: 64 << 20,
 			TLB:         tlb.Haswell(),
@@ -29,7 +29,7 @@ func TestTracerAttachMidBulkRun(t *testing.T) {
 			Cost:        cost.Default(),
 			Kernel:      oskernel.DefaultConfig(),
 		})
-		m.SetBulk(bulk)
+		m.SetBatch(batch)
 		v := m.Space.Mmap("arr", 4<<20)
 		m.RegisterArray(v)
 		m.Touch(v.Base, v.Bytes)

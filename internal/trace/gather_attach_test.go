@@ -35,7 +35,7 @@ func TestTracerAttachMidGather(t *testing.T) {
 		}
 	}
 
-	run := func(gather bool) ([]trace.Event, uint64) {
+	run := func(batched bool) ([]trace.Event, uint64) {
 		m := machine.New(machine.Config{
 			MemoryBytes: 64 << 20,
 			TLB:         tlb.Haswell(),
@@ -43,7 +43,7 @@ func TestTracerAttachMidGather(t *testing.T) {
 			Cost:        cost.Default(),
 			Kernel:      oskernel.DefaultConfig(),
 		})
-		m.SetGather(gather)
+		m.SetBatch(batched)
 		v := m.Space.Mmap("arr", 4<<20)
 		m.RegisterArray(v)
 		m.Touch(v.Base, v.Bytes)

@@ -2,17 +2,16 @@
 # bench.sh — record the simulator's performance trajectory.
 #
 # Runs the per-access microbenchmark (BenchmarkAccess: the steady-state
-# fast path — TLB hit, mapped page, L1D hit), the bulk-engine benchmark
-# (BenchmarkAccessRun: edge-scan-shaped sequential runs through
-# AccessRun, ns per simulated access), the gather-engine pair
-# (BenchmarkAccessGather vs BenchmarkAccessGatherScalar: the same
-# irregular neighbor-gather-shaped stream through AccessGather and
-# through per-element Access), the end-to-end headline experiment
+# fast path — TLB hit, mapped page, L1D hit), the batch engine's two
+# entry points (BenchmarkAccessRun: edge-scan-shaped sequential runs
+# through AccessRun, ns per simulated access; BenchmarkAccessGather vs
+# BenchmarkAccessGatherScalar: the same irregular neighbor-gather-shaped
+# stream through AccessGather and through per-element Access), the end-to-end headline experiment
 # benchmark, a timed bench-scale campaign subset, the snapshot-layer
 # wall-clock pair (the same rollout-bearing subset with checkpoint
 # forking on vs GRAPHMEM_NO_SNAPSHOT=1), and the sharded-engine
 # single-run pair (TestShardBringupSpeedup: the kr25 ext-shard cell
-# with fork bring-up vs GRAPHMEM_NO_SHARD=1 replay), and the
+# with fork bring-up vs GRAPHMEM_NO_SNAPSHOT=1 replay), and the
 # paper-geometry footprint gate (TestFullscaleGeometryGate: the
 # ext-fullscale 128 GB staged campaign, recording bytes_per_frame and
 # the stats.Footprint totals and reduction), and the checkpoint-store
@@ -22,8 +21,8 @@
 # keys change in place, keys this script does not know about survive —
 # so subsequent PRs have a recorded baseline to compare against.
 #
-# Engine perf gates are ratio-based, never absolute: the bulk and
-# gather engines must each beat their same-host scalar counterpart by
+# Engine perf gates are ratio-based, never absolute: AccessRun and
+# AccessGather must each beat their same-host scalar counterpart by
 # >= 2x per simulated access. Absolute ns/op budgets would encode one
 # reference machine; a same-binary same-host ratio survives any host
 # while still catching an engine that quietly degrades to its scalar
@@ -49,7 +48,7 @@ if [ -z "$ns" ]; then
     exit 1
 fi
 
-echo "== BenchmarkAccessRun (internal/machine, bulk engine)" >&2
+echo "== BenchmarkAccessRun (internal/machine, batch engine, strided)" >&2
 bulk=$(go test -run '^$' -bench '^BenchmarkAccessRun$' -benchmem \
     -benchtime "${BENCHTIME:-2s}" ./internal/machine)
 echo "$bulk" >&2
@@ -60,7 +59,7 @@ if [ -z "$bns" ]; then
     exit 1
 fi
 
-echo "== BenchmarkAccessGather vs scalar (internal/machine, gather engine)" >&2
+echo "== BenchmarkAccessGather vs scalar (internal/machine, batch engine, gathered)" >&2
 gather=$(go test -run '^$' -bench '^BenchmarkAccessGather(Scalar)?$' -benchmem \
     -benchtime "${BENCHTIME:-2s}" ./internal/machine)
 echo "$gather" >&2
@@ -73,19 +72,19 @@ if [ -z "$gns" ] || [ -z "$gsns" ]; then
 fi
 
 echo "== engine perf gates (same-host ratios, >= 2x)" >&2
-# BenchmarkAccess is the scalar per-access cost; the bulk and gather
-# engines amortize it over coalesced batches, so their ns-per-access
+# BenchmarkAccess is the scalar per-access cost; AccessRun and
+# AccessGather amortize it over coalesced batches, so their ns-per-access
 # must stay well under it on the same binary and host.
 bulk_ratio=$(awk "BEGIN { printf \"%.2f\", $ns / $bns }")
 gather_ratio=$(awk "BEGIN { printf \"%.2f\", $gsns / $gns }")
-echo "bulk engine: ${bns}ns vs scalar ${ns}ns per access (${bulk_ratio}x)" >&2
-echo "gather engine: ${gns}ns vs scalar ${gsns}ns per access (${gather_ratio}x)" >&2
+echo "AccessRun: ${bns}ns vs scalar ${ns}ns per access (${bulk_ratio}x)" >&2
+echo "AccessGather: ${gns}ns vs scalar ${gsns}ns per access (${gather_ratio}x)" >&2
 if ! awk "BEGIN { exit !($ns >= 2 * $bns) }"; then
-    echo "bench.sh: bulk engine is under 2x the scalar path (${bulk_ratio}x): AccessRun is no longer amortizing" >&2
+    echo "bench.sh: AccessRun is under 2x the scalar path (${bulk_ratio}x): strided batches are no longer amortizing" >&2
     exit 1
 fi
 if ! awk "BEGIN { exit !($gsns >= 2 * $gns) }"; then
-    echo "bench.sh: gather engine is under 2x its scalar path (${gather_ratio}x): AccessGather is no longer amortizing" >&2
+    echo "bench.sh: AccessGather is under 2x its scalar path (${gather_ratio}x): gathered batches are no longer amortizing" >&2
     exit 1
 fi
 
@@ -198,7 +197,7 @@ go run ./cmd/benchjson -file "$out" \
     "campaign_snapshot_wall_seconds=$snap_wall" \
     "campaign_nosnapshot_wall_seconds=$nosnap_wall" \
     "campaign_snapshot_speedup=$speedup" \
-    "shard_single_run=TestShardBringupSpeedup (core.Run of the bench-scale kr25 ext-shard cell at 4 shard workers, fork bring-up vs GRAPHMEM_NO_SHARD=1 replay, min of 3)" \
+    "shard_single_run=TestShardBringupSpeedup (core.Run of the bench-scale kr25 ext-shard cell at 4 shard workers, fork bring-up vs GRAPHMEM_NO_SNAPSHOT=1 replay, min of 3)" \
     "run_shard_wall_seconds=$shard_wall" \
     "run_noshard_wall_seconds=$noshard_wall" \
     "run_shard_speedup=$shard_speedup" \

@@ -13,22 +13,20 @@
 #                       (buddy allocator, TLB arrays, VM accounting,
 #                       scheduler task conservation, promise quiescence)
 #   7. zero-alloc + bench smoke
-#                       the staged access engine's fast path, the bulk
-#                       AccessRun path, and the gather AccessGather
-#                       path must stay allocation-free, and every
-#                       machine benchmark must still run (-benchtime=1x)
+#                       the staged access engine's fast path and the
+#                       batch engine behind AccessRun and AccessGather
+#                       must stay allocation-free, and every machine
+#                       benchmark must still run (-benchtime=1x)
 #   8. expdriver -j diff
 #                       a bench-scale campaign subset run at -j 1 and
 #                       -j 4 must be byte-identical on every surface
-#   9. bulk-engine equivalence
-#                       the same campaign subset with the bulk path
-#                       force-disabled (GRAPHMEM_NO_BULK=1) must be
-#                       byte-identical to the bulk-enabled run
-#  10. gather-engine equivalence
-#                       the same campaign subset with the gather path
-#                       force-disabled (GRAPHMEM_NO_GATHER=1) must be
-#                       byte-identical to the gather-enabled run
-#  11. snapshot-layer equivalence
+#   9. batch-engine equivalence
+#                       the same campaign subset with the batch engine
+#                       force-disabled (GRAPHMEM_NO_BATCH=1: every
+#                       AccessRun and AccessGather dispatches per
+#                       access) must be byte-identical to the batching
+#                       run
+#  10. snapshot-layer equivalence
 #                       the rollout-bearing campaign subset with the
 #                       checkpoint/fork layer disabled
 #                       (GRAPHMEM_NO_SNAPSHOT=1) must be byte-identical
@@ -37,19 +35,20 @@
 #                       full-scale fig6 (supply-sampled cells) forking,
 #                       replaying, populating a -ckpt-dir store and
 #                       reloading from it must be byte-identical
-#  12. sharded-engine equivalence
+#  11. sharded-engine equivalence
 #                       the ext-shard campaign with fork bring-up
-#                       disabled (GRAPHMEM_NO_SHARD=1, every extra shard
-#                       replays its load phase) must be byte-identical
-#                       to the forking run across -shards and -j worker
-#                       counts, and fork bring-up must cut single-run
-#                       wall-clock by >= 2x (TestShardBringupSpeedup,
-#                       in-process paired timing)
-#  13. frame-metadata budget
+#                       disabled (GRAPHMEM_NO_SNAPSHOT=1, every extra
+#                       shard replays its load phase) must be
+#                       byte-identical to the forking run across -shards
+#                       and -j worker counts, and fork bring-up must cut
+#                       single-run wall-clock by >= 2x
+#                       (TestShardBringupSpeedup, in-process paired
+#                       timing)
+#  12. frame-metadata budget
 #                       unsafe.Sizeof(frameInfo{}) <= 8 (compile-time
 #                       array assert plus TestFrameInfoSize), and the
 #                       packed/unpacked differential property test
-#  14. paper-geometry gate
+#  13. paper-geometry gate
 #                       the ext-fullscale campaign ({Kron25,Twit} x
 #                       {BFS,PR} x {THP,4KB}) stages >= 100 GB nodes,
 #                       finishes inside its wall/host-memory budgets,
@@ -59,7 +58,7 @@
 #                       so repetitions (bench.sh, reruns sharing the
 #                       same GRAPHMEM_CKPT_DIR) reload staged nodes
 #                       instead of re-faulting them
-#  15. persistent checkpoint store
+#  14. persistent checkpoint store
 #                       one expdriver process populates a -ckpt-dir
 #                       store, a second process reloads every load
 #                       phase from it — both at -j 1 and -j 4 — and
@@ -67,7 +66,7 @@
 #                       run of step 8; then the in-process perf gate
 #                       (TestCkptReloadSpeedup) requires loading a
 #                       container to beat re-staging the node by >= 3x
-#  16. docsplice -check
+#  15. docsplice -check
 #                       EXPERIMENTS.md's measured blocks match results/
 #
 # Run from the repository root: ./scripts/ci.sh
@@ -127,21 +126,13 @@ diff "$tmp/stdout1.txt" "$tmp/stdout4.txt"
 diff "$tmp/out1.md" "$tmp/out4.md"
 diff -r "$tmp/csv1" "$tmp/csv4"
 
-echo "== bulk-engine equivalence: GRAPHMEM_NO_BULK=1 vs bulk-enabled"
+echo "== batch-engine equivalence: GRAPHMEM_NO_BATCH=1 vs batching"
 mkdir -p "$tmp/csvnb"
-GRAPHMEM_NO_BULK=1 "$tmp/expdriver" -scale bench -exp "$subset" -j 1 \
+GRAPHMEM_NO_BATCH=1 "$tmp/expdriver" -scale bench -exp "$subset" -j 1 \
     -out "$tmp/outnb.md" -csv "$tmp/csvnb" > "$tmp/stdoutnb.txt"
 diff "$tmp/stdout1.txt" "$tmp/stdoutnb.txt"
 diff "$tmp/out1.md" "$tmp/outnb.md"
 diff -r "$tmp/csv1" "$tmp/csvnb"
-
-echo "== gather-engine equivalence: GRAPHMEM_NO_GATHER=1 vs gather-enabled"
-mkdir -p "$tmp/csvng"
-GRAPHMEM_NO_GATHER=1 "$tmp/expdriver" -scale bench -exp "$subset" -j 1 \
-    -out "$tmp/outng.md" -csv "$tmp/csvng" > "$tmp/stdoutng.txt"
-diff "$tmp/stdout1.txt" "$tmp/stdoutng.txt"
-diff "$tmp/out1.md" "$tmp/outng.md"
-diff -r "$tmp/csv1" "$tmp/csvng"
 
 echo "== snapshot-layer equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs forking"
 # ext-rollout is the fork-heavy experiment (one load phase, five forked
@@ -193,12 +184,12 @@ for v in f6ns f6c0 f6c1; do
     diff -r "$tmp/csvf6" "$tmp/csv$v"
 done
 
-echo "== sharded-engine equivalence: GRAPHMEM_NO_SHARD=1 vs fork bring-up"
+echo "== sharded-engine equivalence: GRAPHMEM_NO_SNAPSHOT=1 vs fork bring-up"
 # ext-shard is the sharded-engine experiment: every cell runs its kernel
 # phase as 16 owner-computes shards on a big-memory staged node, so the
-# fork-vs-replay margin the hatch controls is first-order. -shards (the
-# worker knob) and -j (the campaign knob) are both varied to prove
-# neither changes a byte of output.
+# fork-vs-replay margin the snapshot hatch controls is first-order.
+# -shards (the worker knob) and -j (the campaign knob) are both varied to
+# prove neither changes a byte of output.
 mkdir -p "$tmp/csvh1" "$tmp/csvh4" "$tmp/csvnh"
 "$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
     -out "$tmp/outh1.md" -csv "$tmp/csvh1" > "$tmp/stdouth1.txt"
@@ -207,7 +198,7 @@ mkdir -p "$tmp/csvh1" "$tmp/csvh4" "$tmp/csvnh"
 diff "$tmp/stdouth1.txt" "$tmp/stdouth4.txt"
 diff "$tmp/outh1.md" "$tmp/outh4.md"
 diff -r "$tmp/csvh1" "$tmp/csvh4"
-GRAPHMEM_NO_SHARD=1 "$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
+GRAPHMEM_NO_SNAPSHOT=1 "$tmp/expdriver" -scale bench -exp ext-shard -shards 4 -j 1 \
     -out "$tmp/outnh.md" -csv "$tmp/csvnh" > "$tmp/stdoutnh.txt"
 diff "$tmp/stdouth1.txt" "$tmp/stdoutnh.txt"
 diff "$tmp/outh1.md" "$tmp/outnh.md"
