@@ -50,58 +50,91 @@ import (
 
 	"graphmem/internal/cli"
 	"graphmem/internal/exp"
-	"graphmem/internal/gen"
 )
 
 func main() {
-	scale := flag.String("scale", "full", "dataset scale: full, bench, or test")
-	expIDs := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	outPath := flag.String("out", "", "write markdown tables to this file")
-	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
-	workers := flag.Int("j", 1, "parallel simulation workers (0 = all CPUs)")
-	shardWorkers := flag.Int("shards", 0, "worker goroutines per sharded cell (0 = all CPUs); execution-only, output is identical for every value")
-	ckptDir := flag.String("ckpt-dir", "", "persistent checkpoint store directory (created if missing); execution-only, output is identical with a cold, warm, or absent store")
-	verbose := flag.Bool("v", false, "log per-worker progress for each simulation cell")
-	listOnly := flag.Bool("list", false, "list experiments and exit")
-	footprint := flag.Bool("footprint", false, "stage the ext-fullscale cell at the chosen scale, print the simulator footprint report, and exit")
-	priters := flag.Int("pr-iters", 3, "PageRank iteration cap")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	flag.Parse()
-	cli.NoArgs(flag.CommandLine)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes tables to stdout and
+// diagnostics to stderr, and returns the exit status — 2 for a bad
+// command line, 1 for a failure after it. Returning instead of exiting
+// lets the profile writers deferred here run on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("expdriver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "full", "dataset scale: full, bench, or test")
+	expIDs := fs.String("exp", "", "comma-separated experiment ids (default: all)")
+	outPath := fs.String("out", "", "write markdown tables to this file")
+	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
+	workers := fs.Int("j", 1, "parallel simulation workers (0 = all CPUs)")
+	shardWorkers := fs.Int("shards", 0, "worker goroutines per sharded cell (0 = all CPUs); execution-only, output is identical for every value")
+	ckptDir := fs.String("ckpt-dir", "", "persistent checkpoint store directory (created if missing); execution-only, output is identical with a cold, warm, or absent store")
+	verbose := fs.Bool("v", false, "log per-worker progress for each simulation cell")
+	listOnly := fs.Bool("list", false, "list experiments and exit")
+	footprint := fs.Bool("footprint", false, "stage the ext-fullscale cell at the chosen scale, print the simulator footprint report, and exit")
+	priters := fs.Int("pr-iters", 3, "PageRank iteration cap")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	exit := func(code int, err error) int {
+		fmt.Fprintf(stderr, "expdriver: %v\n", err)
+		return code
+	}
+	if fs.NArg() > 0 {
+		// cli.NoArgs's check, returning instead of exiting.
+		code := exit(2, fmt.Errorf("unexpected argument %q (this command takes only flags)", fs.Arg(0)))
+		fs.Usage()
+		return code
+	}
 	for _, c := range []struct {
 		name   string
 		v, min int
 	}{{"j", *workers, 0}, {"shards", *shardWorkers, 0}, {"pr-iters", *priters, 1}} {
 		if err := cli.CheckAtLeast(c.name, c.v, c.min); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-			os.Exit(2)
+			return exit(2, err)
 		}
+	}
+	sc, err := cli.ParseScale(*scale)
+	if err != nil {
+		return exit(2, fmt.Errorf("-scale: %v", err))
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-			os.Exit(1)
+			return exit(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return exit(1, err)
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "expdriver: %v\n", err)
+			}
+		}()
 	}
 	if *memProfile != "" {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
+				fmt.Fprintf(stderr, "expdriver: %v\n", err)
 				return
 			}
-			defer f.Close()
 			runtime.GC() // settle live-heap numbers before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintf(stderr, "expdriver: %v\n", err)
 			}
 		}()
 	}
@@ -112,22 +145,9 @@ func main() {
 			if caps == "" {
 				caps = "-"
 			}
-			fmt.Printf("%-14s %-13s %-40s %s\n", e.ID, e.Paper, caps, e.Desc)
+			fmt.Fprintf(stdout, "%-14s %-13s %-40s %s\n", e.ID, e.Paper, caps, e.Desc)
 		}
-		return
-	}
-
-	var sc gen.Scale
-	switch *scale {
-	case "full":
-		sc = gen.ScaleFull
-	case "bench":
-		sc = gen.ScaleBench
-	case "test":
-		sc = gen.ScaleTest
-	default:
-		fmt.Fprintf(os.Stderr, "expdriver: unknown scale %q\n", *scale)
-		os.Exit(2)
+		return 0
 	}
 
 	if *workers == 0 {
@@ -143,17 +163,16 @@ func main() {
 	var log io.Writer
 	opt := exp.CampaignOptions{Workers: *workers}
 	if *verbose {
-		log = os.Stderr
+		log = stderr
 		opt.Progress = func(worker, done, total int, cell string) {
-			fmt.Fprintf(os.Stderr, "[w%d] %d/%d %s\n", worker, done, total, cell)
+			fmt.Fprintf(stderr, "[w%d] %d/%d %s\n", worker, done, total, cell)
 		}
 	}
 	s := exp.NewSuite(sc, log)
 	s.PRMaxIters = *priters
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-			os.Exit(1)
+			return exit(1, err)
 		}
 		s.CkptDir = *ckptDir
 	}
@@ -161,18 +180,17 @@ func main() {
 	if *footprint {
 		fp, ok := s.FullscaleFootprint()
 		if !ok {
-			fmt.Fprintln(os.Stderr, "expdriver: no resident machine to introspect (GRAPHMEM_NO_SNAPSHOT set?)")
-			os.Exit(1)
+			return exit(1, fmt.Errorf("no resident machine to introspect (GRAPHMEM_NO_SNAPSHOT set?)"))
 		}
-		fmt.Print(fp.Table().String())
-		fmt.Printf("\nfootprint_total_bytes=%d legacy_bytes=%d reduction=%.3f bytes_per_sim_gb=%.0f\n",
+		fmt.Fprint(stdout, fp.Table().String())
+		fmt.Fprintf(stdout, "\nfootprint_total_bytes=%d legacy_bytes=%d reduction=%.3f bytes_per_sim_gb=%.0f\n",
 			fp.TotalBytes(), fp.LegacyBytes(), fp.Reduction(), fp.BytesPerSimGB())
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		fmt.Fprintf(os.Stderr, "host heap: %.2f MiB in use, %.2f MiB from OS\n",
+		fmt.Fprintf(stderr, "host heap: %.2f MiB in use, %.2f MiB from OS\n",
 			float64(ms.HeapInuse)/(1<<20), float64(ms.Sys)/(1<<20))
-		return
+		return 0
 	}
 
 	var ids []string
@@ -181,18 +199,16 @@ func main() {
 	}
 
 	start := time.Now()
-	results, err := exp.RunCampaign(s, ids, opt, os.Stdout)
+	results, err := exp.RunCampaign(s, ids, opt, stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-		os.Exit(1)
+		return exit(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "\ncompleted %d experiments (%d distinct simulation runs, %d workers) in %s\n",
+	fmt.Fprintf(stderr, "\ncompleted %d experiments (%d distinct simulation runs, %d workers) in %s\n",
 		len(results), s.CachedRunCount(), *workers, time.Since(start).Round(time.Second))
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
-			os.Exit(1)
+			return exit(1, err)
 		}
 		for _, e := range exp.Registry {
 			tables, ok := results[e.ID]
@@ -202,12 +218,11 @@ func main() {
 			for i, t := range tables {
 				name := fmt.Sprintf("%s/%s_%d.csv", *csvDir, e.ID, i)
 				if err := os.WriteFile(name, []byte(t.CSV()), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "expdriver: writing %s: %v\n", name, err)
-					os.Exit(1)
+					return exit(1, fmt.Errorf("writing %s: %v", name, err))
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "CSV tables written to %s/\n", *csvDir)
+		fmt.Fprintf(stderr, "CSV tables written to %s/\n", *csvDir)
 	}
 
 	if *outPath != "" {
@@ -226,9 +241,9 @@ func main() {
 			}
 		}
 		if err := os.WriteFile(*outPath, []byte(b.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "expdriver: writing %s: %v\n", *outPath, err)
-			os.Exit(1)
+			return exit(1, fmt.Errorf("writing %s: %v", *outPath, err))
 		}
-		fmt.Fprintf(os.Stderr, "markdown written to %s\n", *outPath)
+		fmt.Fprintf(stderr, "markdown written to %s\n", *outPath)
 	}
+	return 0
 }

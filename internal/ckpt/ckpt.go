@@ -10,8 +10,8 @@
 //	payloadLen[u64] crc32c[u32]
 //
 // where the payload is whatever the encode callback wrote, the trailer
-// records its exact length and CRC-32C, and the key is the cell's
-// initKey — the full identity of the staged state. Load verifies
+// records its exact length and CRC-32C, and the key is the campaign
+// cell's key — the full identity of the staged state. Load verifies
 // magic, version, endianness, key, length, and checksum before a
 // single payload byte reaches a Decoder, so subsystem decoders only
 // ever face complete, bit-exact images; their own validation exists to
@@ -21,13 +21,13 @@
 // Scalars are little-endian; bulk slices are raw host memory (that is
 // what makes save/load near-memcpy). The endian marker byte rejects
 // cross-endian loads instead of translating them: a checkpoint is a
-// cache keyed by initKey, not an interchange format, and a mismatch
+// cache keyed by cell key, not an interchange format, and a mismatch
 // simply falls back to fresh staging.
 //
 // Determinism contract (MODEL.md §7): Encode must be a pure function
 // of simulation state — iterate maps in sorted key order, never encode
 // pointers, scratch buffers, or host addresses — so that identical
-// initKeys produce byte-identical images and a loaded image forks into
+// keys produce byte-identical images and a loaded image forks into
 // machines byte-identical to freshly staged ones.
 package ckpt
 
@@ -74,7 +74,7 @@ const maxKeyLen = 64 << 10
 
 // Path returns the store path for a checkpoint key: the hex SHA-256 of
 // the key under dir. Content addressing by hash keeps arbitrarily long
-// initKeys (they spell out the whole spec) out of filenames while
+// cell keys (they spell out the whole spec) out of filenames while
 // keeping the mapping collision-free in practice.
 func Path(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))

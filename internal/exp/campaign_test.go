@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"graphmem/internal/analytics"
 	"graphmem/internal/gen"
 	"graphmem/internal/reorder"
+	"graphmem/internal/stats"
 )
 
 // renderAll runs the full campaign on n workers at the given scale and
@@ -174,32 +174,14 @@ func TestPromiseCacheUnderRace(t *testing.T) {
 	}
 }
 
-// keySet reduces a cell list to its set of memo keys.
-func keySet(cells []runCfg) map[string]bool {
-	set := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		set[c.key()] = true
-	}
-	return set
-}
-
-func sortedKeys(m map[string]bool) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
 // TestCapsMatchCells proves every registry entry's advertised capability
 // list (what expdriver -list prints) is derived from, not asserted over,
-// its declared cells: snapshot-forkable iff it declares any cell (every
-// cell runs on a checkpoint fork), sharded iff some cell runs more than
-// one shard, and full-scale-gated reserved for the experiment the CI
-// fullscale gate wraps. Experiments without declarable cells may still
-// claim snapshot-forkable when they fork checkpoints outside the cell
-// space (ext-rollout), but never sharded or full-scale-gated.
+// its recorded frontier: snapshot-forkable iff it requests any cell
+// (every cell runs on a checkpoint fork), sharded iff some cell runs
+// more than one shard, and full-scale-gated reserved for the experiment
+// the CI fullscale gate wraps. Ad-hoc experiments may still claim
+// snapshot-forkable when they fork checkpoints outside the cell space
+// (ext-rollout), but never sharded or full-scale-gated.
 func TestCapsMatchCells(t *testing.T) {
 	known := map[string]bool{CapSnapshot: true, CapSharded: true, CapFullScale: true}
 	for _, e := range Registry {
@@ -219,13 +201,13 @@ func TestCapsMatchCells(t *testing.T) {
 			if caps[CapFullScale] != (e.ID == "ext-fullscale") {
 				t.Errorf("full-scale-gated = %v, want it on ext-fullscale only", caps[CapFullScale])
 			}
-			if e.Cells == nil {
+			if e.adHoc {
 				if caps[CapSharded] {
-					t.Error("sharded capability without declarable cells")
+					t.Error("sharded capability on an ad-hoc experiment")
 				}
 				return
 			}
-			cells := e.Cells(testSuite())
+			cells := testSuite().declare(e)
 			snapshot := len(cells) > 0
 			var sharded bool
 			for _, c := range cells {
@@ -243,48 +225,56 @@ func TestCapsMatchCells(t *testing.T) {
 	}
 }
 
-// TestCellsMatchRuns proves every experiment's declared frontier equals
-// the set of cells its Run method actually requests — the invariant that
-// makes campaign run counts (and the parallel speedup) independent of
-// worker count. Experiments with nil Cells must either request nothing
-// through the suite (table1, table2) or run entirely outside the cell
-// space (ext-grid simulates ad-hoc graphs directly).
+// frontierGaps records e's frontier, renders e for real on a fresh
+// suite, and reports every way the two disagree: a cell rendering ran
+// that the frontier lacks (it would serialize into the render phase), or
+// a recorded cell rendering never ran.
+func frontierGaps(e Experiment) []string {
+	frontier := dedup(testSuite().declare(e))
+	s := testSuite()
+	e.Run(s)
+	var gaps []string
+	if n := s.CachedRunCount(); n != len(frontier) {
+		gaps = append(gaps, fmt.Sprintf("rendering ran %d cells, the recorded frontier has %d", n, len(frontier)))
+	}
+	for _, c := range frontier {
+		if _, ok := s.runs.Peek(c.key()); !ok {
+			gaps = append(gaps, "recorded but never run: "+c.key())
+		}
+	}
+	return gaps
+}
+
+// TestCellsMatchRuns proves every experiment's recorded frontier equals
+// the set of cells its renderer runs on a real suite — the invariant
+// that makes campaign run counts (and the parallel speedup) independent
+// of worker count. Ad-hoc experiments record nothing, so they must run
+// no cells through the suite.
 func TestCellsMatchRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
 	for _, e := range Registry {
 		t.Run(e.ID, func(t *testing.T) {
-			s := testSuite()
-			var declared map[string]bool
-			if e.Cells != nil {
-				declared = keySet(e.Cells(s))
-			}
-			requested := make(map[string]bool)
-			var mu sync.Mutex
-			s.onRun = func(c runCfg) {
-				mu.Lock()
-				requested[c.key()] = true
-				mu.Unlock()
-			}
-			e.Run(s)
-			if e.Cells == nil {
-				if len(requested) != 0 {
-					t.Errorf("nil Cells but Run requested %d cells:\n  %s",
-						len(requested), strings.Join(sortedKeys(requested), "\n  "))
-				}
-				return
-			}
-			for _, k := range sortedKeys(declared) {
-				if !requested[k] {
-					t.Errorf("declared but never requested: %s", k)
-				}
-			}
-			for _, k := range sortedKeys(requested) {
-				if !declared[k] {
-					t.Errorf("requested but not declared (would serialize into the render phase): %s", k)
-				}
+			for _, g := range frontierGaps(e) {
+				t.Error(g)
 			}
 		})
+	}
+}
+
+// TestFrontierGapsCatchValueBranching shows the check above rejects a
+// renderer that breaks the recording contract: it requests a second
+// cell only when the first result is non-zero, so the recording pass,
+// whose results are all zero, never sees it.
+func TestFrontierGapsCatchValueBranching(t *testing.T) {
+	e := Experiment{ID: "value-branching", Run: func(s *Suite) []*stats.Table {
+		if s.baseline(analytics.BFS, gen.Wiki).TotalCycles != 0 {
+			s.baseline(analytics.PR, gen.Wiki)
+		}
+		return nil
+	}}
+	if gaps := frontierGaps(e); len(gaps) == 0 {
+		t.Fatal("a renderer that branches its requests on a result passed the frontier check")
 	}
 }

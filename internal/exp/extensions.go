@@ -156,7 +156,7 @@ func (s *Suite) GridControl() []*stats.Table {
 // fig6Cfg names one Fig. 6 cell: a pressured BFS/Kron run with the
 // huge-page-economy timeline sampled ~12 times across initialization
 // (interval from the expected init access count — WSS/64 cache lines
-// at tens of cycles each). Shared by Fig6 and its cell declaration.
+// at tens of cycles each).
 func (s *Suite) fig6Cfg(order analytics.AllocOrder) runCfg {
 	e := s.graph(gen.Kron25, false, reorder.Identity)
 	wss := analytics.WSSBytes(analytics.BFS, e.g)

@@ -68,7 +68,7 @@ func (s *Suite) fullscaleCfg() runCfg {
 	return s.fullscaleCell(analytics.BFS, gen.Kron25, core.THPAlways())
 }
 
-// fullscaleCells declares the campaign grid, flagship first, then the
+// fullscaleCells lists the campaign grid, flagship first, then the
 // remaining dataset × kernel × policy combinations in table order.
 func (s *Suite) fullscaleCells() []runCfg {
 	cells := []runCfg{s.fullscaleCfg()}
@@ -89,10 +89,14 @@ func (s *Suite) fullscaleCells() []runCfg {
 // FullscaleFootprint stages (or recalls) the flagship cell's load
 // phase and returns the frozen machine's simulator-footprint report.
 // ok is false when GRAPHMEM_NO_SNAPSHOT is set — the checkpoint then
-// holds no resident machine to introspect (core.Checkpoint.Footprint).
+// holds no resident machine to introspect (core.Checkpoint.Footprint) —
+// and on a recording view, which stages nothing.
 func (s *Suite) FullscaleFootprint() (stats.Footprint, bool) {
+	if s.recorded != nil {
+		return stats.Footprint{}, false
+	}
 	c := s.fullscaleCfg()
-	return s.checkpoint(c.initKey(), s.spec(c)).Footprint()
+	return s.checkpoint(c.key(), s.spec(c)).Footprint()
 }
 
 // Fullscale renders the paper-geometry campaign: per-cell node geometry

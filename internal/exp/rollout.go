@@ -100,9 +100,9 @@ func warmupBudget(n int) int { return 8 * probeBudget(n) }
 
 // Rollout runs the candidate tournament per dataset and reports each
 // candidate's probe score, marking the per-dataset winner. The
-// experiment performs its forks during rendering (its cells are not
-// pre-declarable runs — each fork is probed, not run to completion), so
-// its registry entry declares no cells, like ext-grid.
+// experiment performs its forks during rendering (its forks are probed,
+// not run to completion as cells), so its registry entry is ad hoc,
+// like ext-grid's.
 func (s *Suite) Rollout() []*stats.Table {
 	t := stats.NewTable(
 		"Extension: online policy rollout on checkpoint forks (BFS, +24GB, 25% frag)",
@@ -112,7 +112,7 @@ func (s *Suite) Rollout() []*stats.Table {
 		e := s.graph(ds, false, reorder.Identity)
 		env := s.envFragmented(analytics.BFS, ds, rolloutSlackGB, rolloutFragLevel)
 		cfg := rolloutCfg(ds, env)
-		cp := s.checkpoint(cfg.initKey(), s.spec(cfg))
+		cp := s.checkpoint(cfg.key(), s.spec(cfg))
 		warm, probe := warmupBudget(e.g.N), probeBudget(e.g.N)
 
 		type scored struct {

@@ -6,21 +6,21 @@
 // Campaigns may execute their simulation cells in parallel: the suite's
 // run and graph memo tables are sched.Cache promise caches (first
 // requester computes, later requesters block on the same result), each
-// experiment declares its cell list up front via Experiment.Cells, and
-// RunCampaign fans the deduplicated frontier over a sched.Pool before
-// rendering tables sequentially in registry order. Because every cell
-// owns its machine and is a pure function of its RunSpec, campaign
-// output is byte-identical for every worker count — see DESIGN.md §5
-// for the protocol and the argument.
+// experiment's frontier is learned by running its renderer once against
+// a recording view of the suite, and RunCampaign fans the deduplicated
+// frontier over a sched.Pool before rendering tables sequentially in
+// registry order. Because every cell owns its machine and is a pure
+// function of its RunSpec, campaign output is byte-identical for every
+// worker count — see DESIGN.md §5 for the protocol and the argument.
 //
-// Cells that share a load phase — same graph, machine config, and
-// environment, differing only in kernel-phase knobs — do not each
-// replay it: a third promise cache holds post-init checkpoints
-// (core.Prepare) keyed by the cell key minus those knobs, and every
-// sharing cell runs its kernel on an independent fork of the frozen
-// machine (DESIGN.md §5b). Forking is a pure optimization: output is
-// byte-identical with GRAPHMEM_NO_SNAPSHOT=1, which replays every load
-// phase monolithically, and CI diffs the two.
+// Every cell runs its kernel on a fork of a post-init checkpoint
+// (core.Prepare) held in a third promise cache under the cell key. The
+// cache is what the persistent store (Suite.CkptDir) backs, what lets
+// the ext-fullscale footprint table reuse the flagship cell's staged
+// machine, and what ext-rollout forks once per candidate (DESIGN.md
+// §5b). Forking is a pure optimization: output is byte-identical with
+// GRAPHMEM_NO_SNAPSHOT=1, which replays every load phase
+// monolithically, and CI diffs the two.
 //
 // Memory-pressure levels are specified in the paper's units (GB of
 // slack beyond the working set on their 3–25GB footprints) and scaled to
@@ -59,7 +59,7 @@ const (
 
 // Suite runs experiments at a chosen scale, caching datasets (original
 // and reordered) and memoizing individual runs. A Suite is safe for
-// concurrent use by scheduler workers: both memo tables are promise
+// concurrent use by scheduler workers: its memo tables are promise
 // caches, so duplicate cell requests collapse onto one computation and
 // every requester receives the identical *core.RunResult.
 type Suite struct {
@@ -83,15 +83,15 @@ type Suite struct {
 	// fresh stagings are saved for later ones. Empty disables the store.
 	CkptDir string
 
+	// graphs is held by pointer so a recording view shares it.
+	graphs *sched.Cache[graphKey, *graphEntry]
 	logMu  sync.Mutex
-	graphs sched.Cache[graphKey, *graphEntry]
 	runs   sched.Cache[string, *core.RunResult]
 	inits  sched.Cache[string, *core.Checkpoint]
 
-	// onRun, when non-nil, observes every cell request (before
-	// memoization) — the hook the cells-coverage test uses to prove
-	// each experiment's declared frontier matches what it runs.
-	onRun func(runCfg)
+	// recorded is non-nil only on a recording view (see declare): run
+	// appends each requested cell to it and simulates nothing.
+	recorded *[]runCfg
 }
 
 // NewSuite constructs a suite. ScaleFull reproduces the paper's
@@ -101,7 +101,25 @@ func NewSuite(scale gen.Scale, log io.Writer) *Suite {
 		Scale:      scale,
 		PRMaxIters: 3,
 		Log:        log,
+		graphs:     new(sched.Cache[graphKey, *graphEntry]),
 	}
+}
+
+// declare names the cells e's renderer requests, in request order and
+// with repeats, by running it once against a recording view of s and
+// discarding the tables. The view shares s's scale and graph cache, but
+// its run records each request and returns a zero result, and its
+// FullscaleFootprint reports nothing. This is
+// sound because no renderer branches its requests on a result's value
+// and every renderer tolerates zero results. Ad-hoc experiments, which
+// simulate outside the cell space, declare nothing.
+func (s *Suite) declare(e Experiment) []runCfg {
+	if e.adHoc {
+		return nil
+	}
+	var cells []runCfg
+	e.Run(&Suite{Scale: s.Scale, graphs: s.graphs, recorded: &cells})
+	return cells
 }
 
 type graphKey struct {
@@ -158,21 +176,11 @@ type runCfg struct {
 	shards int
 }
 
+// key names the cell by every field of its configuration. It also
+// names the cell's load phase, in the checkpoint cache and in the
+// persistent store, so every field that shapes the post-init machine
+// must appear in it.
 func (c runCfg) key() string {
-	return fmt.Sprintf("%s|%s|%s|%v|%s|%.3f|%+v|%d|%d",
-		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.sampleEvery, c.shards)
-}
-
-// initKey names the cell's load phase: every field that shapes machine
-// state through the end of init. Cells with equal initKeys reach
-// byte-identical post-init state, so they may fork from one shared
-// Checkpoint. sampleEvery is included: the supply sampler is machine
-// state that runs through init, so a sampled cell (Fig. 6) may not
-// share a load phase with an unsampled twin (Fig. 7). shards is
-// included: a sharded cell's Checkpoint carries the partition (and its
-// preprocessing charge) in its prepared state, so sharded and
-// monolithic cells may not share one.
-func (c runCfg) initKey() string {
 	return fmt.Sprintf("%s|%s|%s|%v|%s|%.3f|%+v|%d|%d",
 		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.sampleEvery, c.shards)
 }
@@ -209,24 +217,24 @@ func (s *Suite) spec(c runCfg) core.RunSpec {
 	return spec
 }
 
-// checkpoint returns the shared post-init snapshot for one load phase,
-// preparing it on first request. Like the graph cache, the promise
+// checkpoint returns the post-init snapshot for the load phase named by
+// key, preparing it on first request. Like the graph cache, the promise
 // cache collapses concurrent requests for one load phase onto a single
 // preparation. With the persistent store enabled (Suite.CkptDir), a
 // first request consults the store before staging and saves what it
 // staged on a miss — forks from a loaded machine are byte-identical to
 // forks from a staged one (core.LoadCheckpoint), so memoization
 // semantics are unchanged.
-func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
-	return s.inits.Get(initKey, func() *core.Checkpoint {
-		if cp := s.loadCheckpoint(initKey, spec); cp != nil {
+func (s *Suite) checkpoint(key string, spec core.RunSpec) *core.Checkpoint {
+	return s.inits.Get(key, func() *core.Checkpoint {
+		if cp := s.loadCheckpoint(key, spec); cp != nil {
 			return cp
 		}
 		cp, err := core.Prepare(spec)
 		if err != nil {
-			panic(check.Failf("exp: prepare %s: %v", initKey, err))
+			panic(check.Failf("exp: prepare %s: %v", key, err))
 		}
-		s.saveCheckpoint(initKey, cp)
+		s.saveCheckpoint(key, cp)
 		return cp
 	})
 }
@@ -234,20 +242,21 @@ func (s *Suite) checkpoint(initKey string, spec core.RunSpec) *core.Checkpoint {
 // run executes (or recalls) one configuration. Under a parallel
 // campaign the first requester computes and every concurrent duplicate
 // blocks on the same promise; the returned pointer is identical across
-// all requesters.
+// all requesters. On a recording view it only records the request.
 //
-// Every cell runs its kernel on a fork of the shared post-init
-// Checkpoint for its load phase, so N policies sharing one (graph,
-// machine config, load phase) pay for init once instead of N times.
+// Every cell runs its kernel on a fork of its own post-init Checkpoint.
+// The checkpoint is cached under the cell key, so a persistent store
+// (Suite.CkptDir) reloads it in a later process instead of restaging.
 // With GRAPHMEM_NO_SNAPSHOT set every cell replays its load phase
 // instead, which is exactly the equivalence CI's byte-diff gate checks
 // (scripts/ci.sh step 10).
 func (s *Suite) run(c runCfg) *core.RunResult {
-	if s.onRun != nil {
-		s.onRun(c)
+	if s.recorded != nil {
+		*s.recorded = append(*s.recorded, c)
+		return &core.RunResult{}
 	}
 	return s.runs.Get(c.key(), func() *core.RunResult {
-		r, err := s.checkpoint(c.initKey(), s.spec(c)).Run()
+		r, err := s.checkpoint(c.key(), s.spec(c)).Run()
 		if err != nil {
 			panic(check.Failf("exp: run %s: %v", c.key(), err))
 		}
@@ -293,8 +302,7 @@ func (s *Suite) baseline(app analytics.App, ds gen.Dataset) *core.RunResult {
 	return s.run(baselineCfg(app, ds))
 }
 
-// baselineCfg names the baseline cell so cell declarations and run
-// paths agree on one definition.
+// baselineCfg names the baseline cell.
 func baselineCfg(app analytics.App, ds gen.Dataset) runCfg {
 	return runCfg{
 		app: app, ds: ds, method: reorder.Identity,

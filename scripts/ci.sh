@@ -222,7 +222,7 @@ GRAPHMEM_FULLSCALE=1 GRAPHMEM_CKPT_DIR="${GRAPHMEM_CKPT_DIR:-$tmp/fsckpt}" \
 echo "== persistent checkpoint store: cross-process reload equivalence + speedup gate"
 # One process stages and saves, a second process reloads from the store;
 # both must render the exact bytes of step 8's store-less run, at -j 1
-# and -j 4. The store directory is shared, content-addressed by initKey.
+# and -j 4. The store directory is shared, content-addressed by cell key.
 mkdir -p "$tmp/csvc0" "$tmp/csvc1" "$tmp/csvc4"
 "$tmp/expdriver" -scale bench -exp "$subset" -j 1 -ckpt-dir "$tmp/store" \
     -out "$tmp/outc0.md" -csv "$tmp/csvc0" > "$tmp/stdoutc0.txt"
