@@ -24,7 +24,7 @@
 // (core.RunSpec.Shards) — so output stays byte-identical for every
 // -shards value (DESIGN.md §5c).
 //
-// -ckpt-dir backs the campaign's checkpoint cache with a persistent
+// -ckpt-dir keeps the campaign's staged checkpoints in a persistent
 // content-addressed store in that directory (DESIGN.md §5e): load
 // phases staged by earlier invocations are reloaded from disk instead
 // of replayed, and fresh stagings are saved for later ones. Like -j and
@@ -183,8 +183,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exit(1, fmt.Errorf("no resident machine to introspect (GRAPHMEM_NO_SNAPSHOT set?)"))
 		}
 		fmt.Fprint(stdout, fp.Table().String())
-		fmt.Fprintf(stdout, "\nfootprint_total_bytes=%d legacy_bytes=%d reduction=%.3f bytes_per_sim_gb=%.0f\n",
-			fp.TotalBytes(), fp.LegacyBytes(), fp.Reduction(), fp.BytesPerSimGB())
+		fmt.Fprintf(stdout, "\nfootprint_total_bytes=%d bytes_per_sim_gb=%.0f\n",
+			fp.TotalBytes(), fp.BytesPerSimGB())
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"graphmem/internal/core"
 	"graphmem/internal/exp"
 )
 
@@ -96,6 +98,25 @@ func TestCampaignWritesTables(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "### fig5") {
 		t.Errorf("stdout lacks the fig5 tables:\n%.200s", stdout.String())
+	}
+}
+
+// TestFootprintReport stages the test-scale flagship node and prints
+// its simulator-footprint table and the parseable totals line.
+func TestFootprintReport(t *testing.T) {
+	if core.SnapshotsDisabled() {
+		t.Skip("GRAPHMEM_NO_SNAPSHOT leaves no resident machine to introspect")
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scale", "test", "-footprint"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr.String())
+	}
+	out := stdout.String()
+	if !regexp.MustCompile(`(?m)^subsystem +bytes *$`).MatchString(out) {
+		t.Errorf("stdout lacks the subsystem/bytes table header:\n%s", out)
+	}
+	if !regexp.MustCompile(`(?m)^footprint_total_bytes=[1-9][0-9]* bytes_per_sim_gb=[1-9][0-9]*$`).MatchString(out) {
+		t.Errorf("stdout lacks the footprint_total_bytes=… bytes_per_sim_gb=… line:\n%s", out)
 	}
 }
 

@@ -111,6 +111,41 @@ func TestSaveLoadDefaultNodeMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSaveLoadFootprintMatches: the simulator-footprint report is a
+// pure function of machine state, so a checkpoint and its reload report
+// the same rows. Counting a slice's spare capacity (which a decoder
+// never reproduces) would make the report depend on how the machine
+// reached its state.
+func TestSaveLoadFootprintMatches(t *testing.T) {
+	for _, pol := range snapshotConfigs() {
+		t.Run(pol.Name, func(t *testing.T) {
+			spec := persistSpec(t, pol)
+			key := "persist:footprint:" + pol.Name
+			cp, err := core.Prepare(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := cp.Save(&buf, key); err != nil {
+				t.Fatal(err)
+			}
+			lcp, err := core.LoadCheckpoint(spec, key, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := cp.Footprint()
+			if !ok {
+				t.Skip("GRAPHMEM_NO_SNAPSHOT leaves no resident machine to introspect")
+			}
+			got, _ := lcp.Footprint()
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("reloaded footprint differs from the staged one:\n--- staged ---\n%s--- reloaded ---\n%s",
+					want.Table(), got.Table())
+			}
+		})
+	}
+}
+
 // TestBatchFlagIsNotCheckpointState: the GRAPHMEM_NO_BATCH hatch is
 // per-process configuration, not machine state. A checkpoint saved with
 // the hatch open and one saved with it closed are the same bytes; loaded

@@ -10,12 +10,14 @@ import (
 )
 
 // The persistent checkpoint store (DESIGN.md §5e): when Suite.CkptDir
-// is set, the suite's in-memory checkpoint cache is backed by ckpt
-// containers on disk, content-addressed by the cell key — the exact
-// string that already names a load phase for the in-memory cache. A
-// campaign in a fresh process then forks loaded machines instead of
-// replaying environment staging and init faulting; CI's reload gate
-// proves the two are byte-identical and ≥3× faster at bench scale.
+// is set, Suite.checkpoint looks for each load phase in ckpt containers
+// on disk, content-addressed by the cell key, before staging it, and
+// saves what it staged. The suite keeps no checkpoint in memory, so the
+// store is the only reuse of a staged machine: a campaign in a fresh
+// process, or a second request for one load phase in the same process,
+// forks a loaded machine instead of replaying environment staging and
+// init faulting. CI's reload gate proves the two are byte-identical and
+// ≥3× faster at bench scale.
 //
 // The store is an optimization with escape hatches on both sides: it is
 // inert without -ckpt-dir, disabled alongside GRAPHMEM_NO_SNAPSHOT

@@ -13,14 +13,12 @@
 // function of its RunSpec, campaign output is byte-identical for every
 // worker count — see DESIGN.md §5 for the protocol and the argument.
 //
-// Every cell runs its kernel on a fork of a post-init checkpoint
-// (core.Prepare) held in a third promise cache under the cell key. The
-// cache is what the persistent store (Suite.CkptDir) backs, what lets
-// the ext-fullscale footprint table reuse the flagship cell's staged
-// machine, and what ext-rollout forks once per candidate (DESIGN.md
-// §5b). Forking is a pure optimization: output is byte-identical with
-// GRAPHMEM_NO_SNAPSHOT=1, which replays every load phase
-// monolithically, and CI diffs the two.
+// Every cell runs its kernel on a fork of its own post-init checkpoint
+// (core.Prepare), staged or loaded from the persistent store
+// (Suite.CkptDir) when the cell runs and dropped with it: the suite
+// keeps results, not staged machines (DESIGN.md §5b). Forking is a pure
+// optimization: output is byte-identical with GRAPHMEM_NO_SNAPSHOT=1,
+// which replays every load phase monolithically, and CI diffs the two.
 //
 // Memory-pressure levels are specified in the paper's units (GB of
 // slack beyond the working set on their 3–25GB footprints) and scaled to
@@ -77,17 +75,16 @@ type Suite struct {
 	// (zero value = the paper's Haswell hierarchy). Shape tests use a
 	// scaled hierarchy so bench-sized graphs exert full-sized pressure.
 	TLB tlb.Config
-	// CkptDir, when non-empty, backs the checkpoint cache with the
-	// persistent store in that directory (ckptstore.go): load phases
-	// staged by earlier processes are reloaded instead of replayed, and
-	// fresh stagings are saved for later ones. Empty disables the store.
+	// CkptDir, when non-empty, names the persistent checkpoint store
+	// (ckptstore.go): load phases staged by earlier processes are
+	// reloaded instead of replayed, and fresh stagings are saved for
+	// later ones. Empty disables the store.
 	CkptDir string
 
 	// graphs is held by pointer so a recording view shares it.
 	graphs *sched.Cache[graphKey, *graphEntry]
 	logMu  sync.Mutex
 	runs   sched.Cache[string, *core.RunResult]
-	inits  sched.Cache[string, *core.Checkpoint]
 
 	// recorded is non-nil only on a recording view (see declare): run
 	// appends each requested cell to it and simulates nothing.
@@ -177,9 +174,8 @@ type runCfg struct {
 }
 
 // key names the cell by every field of its configuration. It also
-// names the cell's load phase, in the checkpoint cache and in the
-// persistent store, so every field that shapes the post-init machine
-// must appear in it.
+// names the cell's load phase in the persistent store, so every field
+// that shapes the post-init machine must appear in it.
 func (c runCfg) key() string {
 	return fmt.Sprintf("%s|%s|%s|%v|%s|%.3f|%+v|%d|%d",
 		c.app, c.ds, c.method, c.order, c.policy.Name, c.policy.PropPercent, c.env, c.sampleEvery, c.shards)
@@ -218,25 +214,21 @@ func (s *Suite) spec(c runCfg) core.RunSpec {
 }
 
 // checkpoint returns the post-init snapshot for the load phase named by
-// key, preparing it on first request. Like the graph cache, the promise
-// cache collapses concurrent requests for one load phase onto a single
-// preparation. With the persistent store enabled (Suite.CkptDir), a
-// first request consults the store before staging and saves what it
-// staged on a miss — forks from a loaded machine are byte-identical to
-// forks from a staged one (core.LoadCheckpoint), so memoization
-// semantics are unchanged.
+// key: loaded from the persistent store (Suite.CkptDir) when it holds
+// one, else prepared from spec and saved there. Nothing is memoized, so
+// the staged machine lives only as long as its caller holds it. Forks
+// from a loaded machine are byte-identical to forks from a staged one
+// (core.LoadCheckpoint).
 func (s *Suite) checkpoint(key string, spec core.RunSpec) *core.Checkpoint {
-	return s.inits.Get(key, func() *core.Checkpoint {
-		if cp := s.loadCheckpoint(key, spec); cp != nil {
-			return cp
-		}
-		cp, err := core.Prepare(spec)
-		if err != nil {
-			panic(check.Failf("exp: prepare %s: %v", key, err))
-		}
-		s.saveCheckpoint(key, cp)
+	if cp := s.loadCheckpoint(key, spec); cp != nil {
 		return cp
-	})
+	}
+	cp, err := core.Prepare(spec)
+	if err != nil {
+		panic(check.Failf("exp: prepare %s: %v", key, err))
+	}
+	s.saveCheckpoint(key, cp)
+	return cp
 }
 
 // run executes (or recalls) one configuration. Under a parallel
@@ -244,9 +236,9 @@ func (s *Suite) checkpoint(key string, spec core.RunSpec) *core.Checkpoint {
 // blocks on the same promise; the returned pointer is identical across
 // all requesters. On a recording view it only records the request.
 //
-// Every cell runs its kernel on a fork of its own post-init Checkpoint.
-// The checkpoint is cached under the cell key, so a persistent store
-// (Suite.CkptDir) reloads it in a later process instead of restaging.
+// Every cell runs its kernel on a fork of its own post-init Checkpoint,
+// which a persistent store (Suite.CkptDir) reloads in a later process
+// instead of restaging.
 // With GRAPHMEM_NO_SNAPSHOT set every cell replays its load phase
 // instead, which is exactly the equivalence CI's byte-diff gate checks
 // (scripts/ci.sh step 10).
@@ -323,9 +315,6 @@ func (s *Suite) CheckInvariants(quiesced bool) error {
 	}
 	if err := s.runs.CheckInvariants(quiesced); err != nil {
 		return fmt.Errorf("run cache: %v", err)
-	}
-	if err := s.inits.CheckInvariants(quiesced); err != nil {
-		return fmt.Errorf("checkpoint cache: %v", err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -93,23 +94,16 @@ func AllRules() []Rule {
 		{
 			ID:   "SL008",
 			Name: "scalarstream",
-			Doc: "no scalar Access loops over a constant address delta in files " +
-				"tagged //simlint:fastpath: a loop whose post statement steps a " +
+			Doc: "no scalar Access loops over an address stream in files tagged " +
+				"//simlint:fastpath: a loop whose post statement steps a " +
 				"variable by a constant and whose body calls Access on an " +
 				"address derived from that variable is a sequential stream " +
-				"that belongs on the bulk AccessRun path",
+				"that belongs on the AccessRun path, and a loop that walks a " +
+				"[]uint64 of addresses and dispatches each element through " +
+				"Access is an irregular batch that belongs on the AccessGather " +
+				"path",
 			Applies: internalOnly,
 			Check:   checkScalarStream,
-		},
-		{
-			ID:   "SL009",
-			Name: "gatherstream",
-			Doc: "no scalar Access loops over collected VA slices in files " +
-				"tagged //simlint:fastpath: a loop that walks a []uint64 of " +
-				"addresses and dispatches each element through Access is the " +
-				"irregular batch that belongs on the AccessGather path",
-			Applies: internalOnly,
-			Check:   checkGatherStream,
 		},
 		{
 			ID:   "SL010",
@@ -590,69 +584,29 @@ func reportClosureCaptures(p *Pass, lit *ast.FuncLit) {
 // --- SL008: scalarstream ------------------------------------------------
 
 // checkScalarStream keeps the engine honest about its own streams: in a
-// //simlint:fastpath file, a for loop whose post statement advances a
-// variable by a compile-time-constant step, with a body calling Access
-// on an address derived from that variable, is exactly the sequential
-// scan AccessRun coalesces — dispatching it scalar forfeits the bulk
-// engine. Loops that step a plain counter while the address advances by
-// a runtime stride in the body (AccessRun's own fallback shape) are not
-// flagged: their post-updated variable never feeds the address.
+// //simlint:fastpath file, a loop that dispatches an address stream
+// through scalar Access forfeits the batch engine (access_batch.go).
+// Two shapes are flagged:
+//   - strided: a for loop whose post statement advances a variable by a
+//     compile-time-constant step, with a body calling Access on an
+//     address derived from that variable through stride arithmetic —
+//     the sequential scan AccessRun coalesces;
+//   - gathered: a loop that walks a []uint64 of collected addresses —
+//     a range statement over the slice (whether the body uses the value
+//     variable or indexes through the key), or a for loop whose
+//     post-stepped variable indexes the slice — the batch AccessGather
+//     coalesces.
+//
+// Loops that step a plain counter while the address advances by a
+// runtime stride in the body (AccessRun's own fallback shape) are not
+// flagged: their post-updated variable never feeds the address. The
+// engines' precondition-gated degradation loops advance their index in
+// the loop body, not the post statement, and are exempt the same way.
 func checkScalarStream(p *Pass) {
-	for _, file := range p.Files {
-		if !hasFastPathDirective(file) {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			loop, ok := n.(*ast.ForStmt)
-			if !ok || loop.Post == nil {
-				return true
-			}
-			iv := postStepVar(p.Info, loop.Post)
-			if iv == nil {
-				return true
-			}
-			ast.Inspect(loop.Body, func(b ast.Node) bool {
-				call, ok := b.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				f := calleeFunc(p.Info, call)
-				if f == nil || f.Name() != "Access" {
-					return true
-				}
-				for _, arg := range call.Args {
-					if !exprUsesVar(p.Info, arg, iv) {
-						continue
-					}
-					if indexedUint64Slice(p.Info, arg, iv) {
-						// The variable feeds the address through a
-						// collected VA slice, not stride arithmetic:
-						// that is SL009's gatherstream shape.
-						continue
-					}
-					p.Reportf(call.Pos(), "scalar Access in a constant-stride loop over %q: a sequential stream belongs on the bulk AccessRun path", iv.Name())
-					break
-				}
-				return true
-			})
-			return true
-		})
-	}
-}
-
-// --- SL009: gatherstream ------------------------------------------------
-
-// checkGatherStream is checkScalarStream's irregular twin: in a
-// //simlint:fastpath file, a loop that walks a []uint64 of collected
-// addresses and dispatches each element through scalar Access is
-// exactly the batch AccessGather coalesces. Both walking shapes are
-// flagged: range statements over the slice (whether the body uses the
-// value variable or indexes through the key), and for loops whose
-// post-stepped variable indexes the slice. The engines' own
-// precondition-gated fallback loops advance their index in the loop
-// body, not the post statement — degradation must re-check batching
-// preconditions per element, and that is the shape the rule exempts.
-func checkGatherStream(p *Pass) {
+	const (
+		strided  = "scalar Access in a constant-stride loop over %q: a sequential stream belongs on the bulk AccessRun path"
+		gathered = "scalar Access over a collected VA slice: an irregular batch belongs on the AccessGather path"
+	)
 	for _, file := range p.Files {
 		if !hasFastPathDirective(file) {
 			continue
@@ -665,9 +619,12 @@ func checkGatherStream(p *Pass) {
 				}
 				value := identVar(p.Info, loop.Value)
 				key := identVar(p.Info, loop.Key)
-				reportGatherAccess(p, loop.Body, func(arg ast.Expr) bool {
-					return (value != nil && exprUsesVar(p.Info, arg, value)) ||
-						(key != nil && indexedUint64Slice(p.Info, arg, key))
+				reportScalarAccess(p, loop.Body, func(arg ast.Expr) string {
+					if (value != nil && exprUsesVar(p.Info, arg, value)) ||
+						(key != nil && indexedUint64Slice(p.Info, arg, key)) {
+						return gathered
+					}
+					return ""
 				})
 			case *ast.ForStmt:
 				if loop.Post == nil {
@@ -677,8 +634,14 @@ func checkGatherStream(p *Pass) {
 				if iv == nil {
 					return true
 				}
-				reportGatherAccess(p, loop.Body, func(arg ast.Expr) bool {
-					return indexedUint64Slice(p.Info, arg, iv)
+				reportScalarAccess(p, loop.Body, func(arg ast.Expr) string {
+					switch {
+					case indexedUint64Slice(p.Info, arg, iv):
+						return gathered
+					case exprUsesVar(p.Info, arg, iv):
+						return fmt.Sprintf(strided, iv.Name())
+					}
+					return ""
 				})
 			}
 			return true
@@ -686,9 +649,9 @@ func checkGatherStream(p *Pass) {
 	}
 }
 
-// reportGatherAccess flags every Access call in body that has an
-// argument matching isVA.
-func reportGatherAccess(p *Pass, body *ast.BlockStmt, isVA func(ast.Expr) bool) {
+// reportScalarAccess flags every Access call in body that has an
+// argument for which classify returns a message, reporting the first.
+func reportScalarAccess(p *Pass, body *ast.BlockStmt, classify func(ast.Expr) string) {
 	ast.Inspect(body, func(b ast.Node) bool {
 		call, ok := b.(*ast.CallExpr)
 		if !ok {
@@ -699,8 +662,8 @@ func reportGatherAccess(p *Pass, body *ast.BlockStmt, isVA func(ast.Expr) bool) 
 			return true
 		}
 		for _, arg := range call.Args {
-			if isVA(arg) {
-				p.Reportf(call.Pos(), "scalar Access over a collected VA slice: an irregular batch belongs on the AccessGather path")
+			if msg := classify(arg); msg != "" {
+				p.Reportf(call.Pos(), "%s", msg)
 				break
 			}
 		}

@@ -1,6 +1,6 @@
 //simlint:fastpath
 
-// Package sl008 seeds SL008 violations: scalar Access calls inside
+// Package sl008 seeds SL008's strided shape: scalar Access calls inside
 // constant-stride loops in a file tagged //simlint:fastpath — the
 // sequential streams the bulk AccessRun path exists to coalesce.
 package sl008

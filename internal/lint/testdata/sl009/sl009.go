@@ -1,7 +1,7 @@
 //simlint:fastpath
 
-// Package sl009 seeds SL009 violations: scalar Access dispatch over
-// collected VA slices in a file tagged //simlint:fastpath — the
+// Package sl009 seeds SL008's gathered shape: scalar Access dispatch
+// over collected VA slices in a file tagged //simlint:fastpath — the
 // irregular batches the AccessGather path exists to coalesce.
 package sl009
 
@@ -12,13 +12,13 @@ func (m *machine) AccessGather(vas []uint64) { m.n += uint64(len(vas)) }
 
 func (m *machine) bad(vas []uint64) {
 	for _, va := range vas {
-		m.Access(va) // SL009: range value feeds Access
+		m.Access(va) // SL008: range value feeds Access
 	}
 	for i := range vas {
-		m.Access(vas[i]) // SL009: range key indexes the VA slice
+		m.Access(vas[i]) // SL008: range key indexes the VA slice
 	}
 	for i := 0; i < len(vas); i++ {
-		m.Access(vas[i]) // SL009: post-stepped index into the VA slice
+		m.Access(vas[i]) // SL008: post-stepped index into the VA slice
 	}
 }
 

@@ -63,7 +63,7 @@ func (m *Machine) refillTranslation(va uint64) uint64 {
 // accessScalar dispatches accesses 0 … n−1 of s one by one through the
 // scalar Access path — the batch engine's degradation loop. It lives in
 // this untagged file because a scalar Access loop over a batch's
-// addresses is exactly what rules SL008 and SL009 forbid in
+// addresses is exactly what rule SL008 forbids in
 // fastpath-tagged files; here it is the deliberate fallback, not a
 // missed batching opportunity.
 func accessScalar[S addrSeq](m *Machine, s S, n int) {

@@ -15,23 +15,21 @@ import (
 func (m *Machine) Footprint() stats.Footprint {
 	f := stats.Footprint{SimulatedBytes: m.Mem.TotalPages() * memsys.PageSize}
 
-	cur, legacy := m.Mem.FootprintBytes()
-	f.Add("memsys/frames", cur, legacy)
+	f.Add("memsys/frames", m.Mem.FootprintBytes())
 
-	tables, tablesLegacy, heat, heatLegacy := m.Space.FootprintBytes()
-	f.Add("vm/tables", tables, tablesLegacy)
-	f.Add("vm/heat", heat, heatLegacy)
+	tables, heat := m.Space.FootprintBytes()
+	f.Add("vm/tables", tables)
+	f.Add("vm/heat", heat)
 
-	hw := m.TLB.FootprintBytes() + m.Cache.FootprintBytes()
-	f.Add("tlb+cache", hw, hw)
+	f.Add("tlb+cache", m.TLB.FootprintBytes()+m.Cache.FootprintBytes())
 
 	// The machine core: the struct itself (which embeds the translation
-	// cache arrays) plus its dynamic accounting slices.
-	core := uint64(unsafe.Sizeof(*m)) +
-		uint64(cap(m.done))*uint64(unsafe.Sizeof(PhaseStats{})) +
-		uint64(cap(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{})) +
-		uint64(cap(m.supply.samples))*uint64(unsafe.Sizeof(SupplySample{}))
-	f.Add("machine", core, core)
+	// cache arrays) plus its dynamic accounting slices, counted by
+	// length so the row is a pure function of machine state.
+	f.Add("machine", uint64(unsafe.Sizeof(*m))+
+		uint64(len(m.done))*uint64(unsafe.Sizeof(PhaseStats{}))+
+		uint64(len(m.arrays))*uint64(unsafe.Sizeof(ArrayStats{}))+
+		uint64(len(m.supply.samples))*uint64(unsafe.Sizeof(SupplySample{})))
 
 	// Frame owners outside the machine (memhog, page cache)
 	// report themselves. The address space and its VMAs do not
@@ -39,8 +37,7 @@ func (m *Machine) Footprint() stats.Footprint {
 	// above — so the type assertion skips them.
 	for _, o := range m.Mem.Owners() {
 		if r, ok := o.(memsys.FootprintReporter); ok {
-			label, cur, legacy := r.FootprintReport()
-			f.Add(label, cur, legacy)
+			f.Add(r.FootprintReport())
 		}
 	}
 	return f

@@ -14,8 +14,8 @@
 # with fork bring-up vs GRAPHMEM_NO_SNAPSHOT=1 replay), and the
 # paper-geometry footprint gate (TestFullscaleGeometryGate: the
 # ext-fullscale 128 GB staged campaign, recording bytes_per_frame and
-# the stats.Footprint totals and reduction), and the checkpoint-store
-# reload gate (TestCkptReloadSpeedup: save/load GB/s and the
+# the stats.Footprint total and bytes per simulated GB), and the
+# checkpoint-store reload gate (TestCkptReloadSpeedup: save/load GB/s and the
 # reload-vs-restage speedup on the bench-scale fullscale cell), then
 # merges the figures into BENCH_access.json via cmd/benchjson — updated
 # keys change in place, keys this script does not know about survive —
@@ -155,10 +155,9 @@ fsgate=$(GRAPHMEM_FULLSCALE=1 GRAPHMEM_CKPT_DIR="${GRAPHMEM_CKPT_DIR:-}" \
 echo "$fsgate" >&2
 fs_line=$(echo "$fsgate" | grep footprint_fullscale)
 fs_bytes=$(echo "$fs_line" | sed 's/.*total_bytes=\([0-9]*\).*/\1/')
-fs_legacy=$(echo "$fs_line" | sed 's/.*legacy_bytes=\([0-9]*\).*/\1/')
-fs_reduction=$(echo "$fs_line" | sed 's/.*reduction=\([0-9.]*\).*/\1/')
+fs_per_gb=$(echo "$fs_line" | sed 's/.*bytes_per_sim_gb=\([0-9]*\).*/\1/')
 fs_wall=$(echo "$fs_line" | sed 's/.*wall_s=\([0-9.]*\).*/\1/')
-if [ -z "$fs_bytes" ] || [ -z "$fs_reduction" ]; then
+if [ -z "$fs_bytes" ] || [ -z "$fs_per_gb" ]; then
     echo "bench.sh: could not parse TestFullscaleGeometryGate output" >&2
     exit 1
 fi
@@ -206,11 +205,10 @@ go run ./cmd/benchjson -file "$out" \
     "ckpt_load_gbps=$ckpt_load" \
     "ckpt_reload_speedup=$ckpt_speedup" \
     "ckpt_image_bytes=$ckpt_bytes" \
-    "footprint=stats.Footprint of the staged ext-fullscale cell (128 GB node, full scale) vs the legacy dense representation" \
+    "footprint=stats.Footprint of the staged ext-fullscale cell (128 GB node, full scale)" \
     "bytes_per_frame=$bytes_per_frame" \
     "footprint_fullscale_bytes=$fs_bytes" \
-    "footprint_fullscale_legacy_bytes=$fs_legacy" \
-    "footprint_fullscale_reduction=$fs_reduction" \
+    "footprint_fullscale_bytes_per_sim_gb=$fs_per_gb" \
     "footprint_fullscale_wall_seconds=$fs_wall"
 echo "wrote $out" >&2
 cat "$out"

@@ -52,8 +52,9 @@
 #                       the ext-fullscale campaign ({Kron25,Twit} x
 #                       {BFS,PR} x {THP,4KB}) stages >= 100 GB nodes,
 #                       finishes inside its wall/host-memory budgets,
-#                       and the compact metadata shows >= 2x footprint
-#                       reduction (TestFullscaleGeometryGate); the gate
+#                       and the flagship node stays within 2,800,000
+#                       simulator bytes per simulated GB
+#                       (TestFullscaleGeometryGate); the gate
 #                       points GRAPHMEM_CKPT_DIR at a persistent store
 #                       so repetitions (bench.sh, reruns sharing the
 #                       same GRAPHMEM_CKPT_DIR) reload staged nodes
@@ -63,7 +64,10 @@
 #                       store, a second process reloads every load
 #                       phase from it — both at -j 1 and -j 4 — and
 #                       every byte surface must match the store-less
-#                       run of step 8; then the in-process perf gate
+#                       run of step 8; expdriver -footprint prints the
+#                       same bytes staged without a store, staged into
+#                       one, and reloaded from it; then the in-process
+#                       perf gate
 #                       (TestCkptReloadSpeedup) requires loading a
 #                       container to beat re-staging the node by >= 3x
 #  15. docsplice -check
@@ -239,6 +243,18 @@ if [ -z "$(ls "$tmp/store"/*.ckpt 2>/dev/null)" ]; then
     echo "checkpoint store is empty after a populating campaign" >&2
     exit 1
 fi
+# The footprint report counts machine state, not allocation history:
+# the flagship node staged without a store, staged into a fresh store,
+# and reloaded from that store must print the same report.
+"$tmp/expdriver" -scale bench -footprint > "$tmp/fp.txt"
+"$tmp/expdriver" -scale bench -footprint -ckpt-dir "$tmp/fpstore" > "$tmp/fpc0.txt"
+if [ -z "$(ls "$tmp/fpstore"/*.ckpt 2>/dev/null)" ]; then
+    echo "footprint run saved no checkpoint to its store" >&2
+    exit 1
+fi
+"$tmp/expdriver" -scale bench -footprint -ckpt-dir "$tmp/fpstore" > "$tmp/fpc1.txt"
+diff "$tmp/fp.txt" "$tmp/fpc0.txt"
+diff "$tmp/fp.txt" "$tmp/fpc1.txt"
 # The >= 3x reload-vs-restage gate times both sides in-process
 # (min-of-3): subprocess wall-clocks would fold compilation, dataset
 # generation, and kernel phases into both sides and drown the margin.
